@@ -1,0 +1,23 @@
+package repro
+
+import scala.reflect.ClassTag
+
+import org.apache.spark.SparkContext
+
+/** One parallel round of the greedy algorithms as one Spark job.
+  *
+  * The sampling rounds (forest indices) and APPROXGREEDY's solve rounds (JL
+  * row indices) both fan an index range out over partitions, fold each slice
+  * into one partial on an executor, and add the partials on the driver.
+  */
+object Fanout {
+
+  /** Run `task` on each of `slices` slices of `[start, end)` (the slicing of
+    * `sc.range`) as a single `runJob`, then merge the partials on the driver
+    * in slice order, so the result does not depend on which task finishes
+    * first.
+    */
+  def foldSlices[A: ClassTag](sc: SparkContext, start: Long, end: Long, slices: Int)
+                             (task: Iterator[Long] => A)(merge: (A, A) => A): A =
+    sc.runJob(sc.range(start, end, 1, slices), task).reduceLeft(merge)
+}

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.Fanout
 import repro.graph.CsrGraph
 import repro.linalg.{Cg, Jl}
 
@@ -21,8 +22,8 @@ import repro.linalg.{Cg, Jl}
   * iteration are exactly the cost the paper's Table II charges APPROXGREEDY
   * for (e.g. 34 s on the 2,000-node Hamsterster on 72 threads) — while the
   * Julia Kyng–Sachdeva solver is substituted by Jacobi-preconditioned CG.
-  * Solves fan out over Spark with the graph broadcast; only per-partition
-  * sum-of-squares vectors come back.
+  * Each solve round is one Spark job with the graph broadcast; only one
+  * sum-of-squares vector per slice comes back.
   */
 object ApproxGreedy {
 
@@ -39,17 +40,17 @@ object ApproxGreedy {
     val w = width(eps, n)
     val sc = spark.sparkContext
     val bcG = sc.broadcast(g)
-    val parallelism = sc.defaultParallelism
-    var solves = 0L
+    try {
+      val parallelism = sc.defaultParallelism
+      var solves = 0L
 
-    // Σ_j x_j(u)² for the w solutions of L_{-S} x_j = rhs(j), distributed:
-    // each partition builds its right-hand sides locally from the broadcast
-    // graph + JL seed, solves them, and returns one n-vector of partial
-    // squared sums.
-    def sumSqOfSolves(s: Set[Int], jlSeed: Long, incidenceSide: Boolean): Array[Double] = {
-      solves += w
-      sc.range(0L, w, 1, math.min(parallelism, w))
-        .mapPartitions { it =>
+      // Σ_j x_j(u)² for the w solutions of L_{-S} x_j = rhs(j), distributed:
+      // each slice of JL rows builds its right-hand sides locally from the
+      // broadcast graph + JL seed, solves them, and returns one n-vector of
+      // partial squared sums; the driver adds them in slice order.
+      def sumSqOfSolves(s: Set[Int], jlSeed: Long, incidenceSide: Boolean): Array[Double] = {
+        solves += w
+        Fanout.foldSlices(sc, 0L, w, math.min(parallelism, w)) { it =>
           val gg = bcG.value
           val inS = new Array[Boolean](gg.n); s.foreach(inS(_) = true)
           val acc = new Array[Double](gg.n)
@@ -74,40 +75,39 @@ object ApproxGreedy {
             var u = 0
             while (u < gg.n) { val xv = x(u); acc(u) += xv * xv; u += 1 }
           }
-          Iterator.single(acc)
-        }
-        .treeReduce { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a }
-    }
-
-    def diagInv(s: Set[Int], jlSeed: Long): Array[Double] = sumSqOfSolves(s, jlSeed, incidenceSide = true)
-    def diagInvSq(s: Set[Int], jlSeed: Long): Array[Double] = sumSqOfSolves(s, jlSeed, incidenceSide = false)
-
-    // ---- first pick: argmin L†_uu via Lemma 3.5 around the max-degree node.
-    val s0 = g.maxDegreeNode
-    val dInv = diagInv(Set(s0), seed)
-    val ones = Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0)
-    val (h, _) = Cg.solve(g, Set(s0), ones, cgTol); solves += 1
-    var first = s0; var bestX = 0.0 // x_{s0} = 0 after dropping the constant term
-    for (u <- 0 until n if u != s0) {
-      val x = dInv(u) - 2.0 / n * h(u)
-      if (x < bestX) { bestX = x; first = u }
-    }
-
-    val picked = scala.collection.mutable.LinkedHashSet(first)
-    var i = 1
-    while (i < k) {
-      val s = picked.toSet
-      val den = diagInv(s, seed + 1000 * i)
-      val num = diagInvSq(s, seed + 1000 * i + 500)
-      var best = -1; var bestDelta = -1.0
-      for (u <- 0 until n if !s.contains(u)) {
-        val delta = num(u) / math.max(den(u), 1e-300)
-        if (delta > bestDelta) { bestDelta = delta; best = u }
+          acc
+        } { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a }
       }
-      picked += best
-      i += 1
-    }
-    bcG.destroy()
-    Result(picked.toSeq, solves)
+
+      def diagInv(s: Set[Int], jlSeed: Long): Array[Double] = sumSqOfSolves(s, jlSeed, incidenceSide = true)
+      def diagInvSq(s: Set[Int], jlSeed: Long): Array[Double] = sumSqOfSolves(s, jlSeed, incidenceSide = false)
+
+      // ---- first pick: argmin L†_uu via Lemma 3.5 around the max-degree node.
+      val s0 = g.maxDegreeNode
+      val dInv = diagInv(Set(s0), seed)
+      val ones = Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0)
+      val (h, _) = Cg.solve(g, Set(s0), ones, cgTol); solves += 1
+      var first = s0; var bestX = 0.0 // x_{s0} = 0 after dropping the constant term
+      for (u <- 0 until n if u != s0) {
+        val x = dInv(u) - 2.0 / n * h(u)
+        if (x < bestX) { bestX = x; first = u }
+      }
+
+      val picked = scala.collection.mutable.LinkedHashSet(first)
+      var i = 1
+      while (i < k) {
+        val s = picked.toSet
+        val den = diagInv(s, seed + 1000 * i)
+        val num = diagInvSq(s, seed + 1000 * i + 500)
+        var best = -1; var bestDelta = -1.0
+        for (u <- 0 until n if !s.contains(u)) {
+          val delta = num(u) / math.max(den(u), 1e-300)
+          if (delta > bestDelta) { bestDelta = delta; best = u }
+        }
+        picked += best
+        i += 1
+      }
+      Result(picked.toSeq, solves)
+    } finally bcG.destroy()
   }
 }

@@ -19,13 +19,15 @@ object SchurCfcm {
 
   /** `d_max(X)` of Table I: max degree in the subgraph after removing X. */
   def residualMaxDegree(g: CsrGraph, removed: Set[Int]): Int = {
+    val out = new Array[Boolean](g.n)
+    removed.foreach(out(_) = true)
     var best = 0
     var u = 0
     while (u < g.n) {
-      if (!removed.contains(u)) {
+      if (!out(u)) {
         var d = 0
         var i = g.off(u)
-        while (i < g.off(u + 1)) { if (!removed.contains(g.adj(i))) d += 1; i += 1 }
+        while (i < g.off(u + 1)) { if (!out(g.adj(i))) d += 1; i += 1 }
         if (d > best) best = d
       }
       u += 1

@@ -1,15 +1,17 @@
 package repro.forest
 
 import org.apache.spark.sql.SparkSession
+import repro.Fanout
 
 /** Spark-distributed, adaptively batched forest sampling.
   *
   * The paper's sampling loops (Algorithms 2–5, Lines "for r' = 1.. do for
-  * i = 1..2^{r'} do in parallel") map to: doubling batches, each batch an RDD
-  * of forest indices fanned out over partitions against a broadcast
-  * [[ForestContext]]; every partition folds its forests into one
-  * [[ForestAcc]] and partials merge with `treeReduce`. After each batch the
-  * driver evaluates the empirical-Bernstein stopping rule (Lemma 3.6).
+  * i = 1..2^{r'} do in parallel") map to: doubling batches, each batch one
+  * Spark job ([[Fanout.foldSlices]]) over slices of the forest indices
+  * against a broadcast [[ForestContext]]; every slice folds its forests into
+  * one [[ForestAcc]] and the driver merges the partials in slice order.
+  * After each batch the driver evaluates the empirical-Bernstein stopping
+  * rule (Lemma 3.6).
   */
 object ForestSampler {
 
@@ -35,22 +37,21 @@ object ForestSampler {
          (stop: ForestAcc => Boolean): Sampled = {
     val sc = spark.sparkContext
     val bcCtx = sc.broadcast(ctx)
-    val parallelism = sc.defaultParallelism
-    val total = new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT)
-    var done = 0L
-    // Few, large batches: per-batch cost includes shipping one accumulator
-    // (O(nsrc·n) doubles + O(n·|T|) ints) per partition back to the driver,
-    // so ≤2 batches beat the paper's literal 2^{r'} schedule while keeping
-    // one adaptive-stop checkpoint (4096 cap keeps huge explicit budgets
-    // from disabling the stop entirely).
-    var batch = math.min(4096L, math.max(64L, maxForests / 2))
-    var converged = false
-    while (!converged && done < maxForests) {
-      val thisBatch = math.min(batch, maxForests - done)
-      val base = done
-      val partial = sc
-        .range(base, base + thisBatch, 1, math.min(parallelism.toLong, thisBatch).toInt)
-        .mapPartitions { it =>
+    try {
+      val parallelism = sc.defaultParallelism
+      val total = new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT)
+      var done = 0L
+      // Few, large batches: per-batch cost includes shipping one accumulator
+      // (O(nsrc·n) doubles + O(n·|T|) ints) per partition back to the driver,
+      // so ≤2 batches beat the paper's literal 2^{r'} schedule while keeping
+      // one adaptive-stop checkpoint (4096 cap keeps huge explicit budgets
+      // from disabling the stop entirely).
+      var batch = math.min(4096L, math.max(64L, maxForests / 2))
+      var converged = false
+      while (!converged && done < maxForests) {
+        val thisBatch = math.min(batch, maxForests - done)
+        val slices = math.min(parallelism.toLong, thisBatch).toInt
+        val partial = Fanout.foldSlices(sc, done, done + thisBatch, slices) { it =>
           val c = bcCtx.value
           val acc = new ForestAcc(c.nsrc, c.n, c.wantDiag, c.numT)
           val scr = new ForestScratch(c)
@@ -59,16 +60,15 @@ object ForestSampler {
             val f = Wilson.sample(c.g, c.isRoot, c.numRoots, rng)
             ForestStats.fold(c, f, acc, scr)
           }
-          Iterator.single(acc)
-        }
-        .treeReduce((a, b) => a.merge(b))
-      total.merge(partial)
-      done += thisBatch
-      converged = stop(total)
-      batch *= 2 // doubling batches, as in the paper's r' loop
-    }
-    bcCtx.destroy()
-    Sampled(total, done, converged)
+          acc
+        }(_ merge _)
+        total.merge(partial)
+        done += thisBatch
+        converged = stop(total)
+        batch *= 2 // doubling batches, as in the paper's r' loop
+      }
+      Sampled(total, done, converged)
+    } finally bcCtx.destroy()
   }
 
   /** Empirical-Bernstein additive error bound (Lemma 3.6) for a mean

@@ -41,9 +41,15 @@ final class ForestContext(
 
 object ForestContext {
 
-  /** Build a context for root set `roots` on graph `g`. */
+  /** Build a context for root set `roots` on graph `g`. Every node needs a
+    * neighbor: a random walk from an isolated node has nowhere to go.
+    */
   def apply(g: CsrGraph, roots: Set[Int], sources: Array[Array[Double]],
             wantDiag: Boolean, tList: Array[Int] = Array.empty): ForestContext = {
+    val isolated = (0 until g.n).find(g.degree(_) == 0)
+    require(isolated.isEmpty,
+      s"node ${isolated.get} of ${g.n} has degree 0: node ids must be dense (0 until n, no gaps); " +
+      "GraphOps.largestComponent relabels an edge list that way")
     val isRoot = new Array[Boolean](g.n)
     roots.foreach(isRoot(_) = true)
     val (order, parent) = GraphOps.bfsTree(g, roots.toSeq.sorted)
@@ -72,8 +78,8 @@ object ForestContext {
   *  - rooted-at-`t` counts `Ñ(ρ_u = t)` for the Schur variant (Lemma 4.2).
   *
   * Squared sums back the empirical-Bernstein stopping rule (Lemma 3.6).
-  * Accumulators merge associatively, so partitions fold locally and
-  * `treeReduce` combines partials.
+  * Accumulators merge associatively, so each slice of a batch folds locally
+  * and the driver merges the partials in slice order.
   */
 final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
     extends Serializable {

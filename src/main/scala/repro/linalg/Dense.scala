@@ -11,8 +11,14 @@ import repro.graph.CsrGraph
   */
 object Dense {
 
+  /** Largest n whose n×n matrix fits one JVM array (n² ≤ Int.MaxValue). */
+  val MaxN: Int = 46340
+
   /** n×n matrix of zeros. */
-  def zeros(n: Int): Array[Double] = new Array[Double](n.toLong.toInt * n)
+  def zeros(n: Int): Array[Double] = {
+    require(n <= MaxN, s"dense $n×$n matrix exceeds the dense limit n ≤ $MaxN")
+    new Array[Double](n * n)
+  }
 
   @inline def get(a: Array[Double], n: Int, i: Int, j: Int): Double = a(i * n + j)
   @inline def set(a: Array[Double], n: Int, i: Int, j: Int, v: Double): Unit = a(i * n + j) = v

@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,30 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `body`'s value and the number of Spark jobs it started. `body` runs
+    * under a job group of its own; a marker job afterwards flushes the
+    * listener, which sees job starts in order, so every job of `body` has
+    * been counted once the marker's start has arrived.
+    */
+  def countJobs[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val log = SparkSpec.jobGroups
+    val group = s"countJobs-${SparkSpec.groupIds.incrementAndGet()}"
+    def inGroup[B](id: String)(f: => B): B = {
+      sc.setJobGroup(id, id)
+      try f finally sc.clearJobGroup()
+    }
+    val out = inGroup(group)(body)
+    val marker = s"$group-marker"
+    inGroup(marker)(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+    while (!log.contains(marker) && System.nanoTime() < deadline) Thread.sleep(5)
+    assert(log.contains(marker), "the listener never saw the marker job")
+    var jobs = 0
+    log.forEach(g => if (g == group) jobs += 1)
+    (out, jobs)
+  }
 }
 
 object SparkSpec {
@@ -39,4 +67,16 @@ object SparkSpec {
     )
     s
   }
+
+  /** Job group of every job started in the shared session, in start order. */
+  lazy val jobGroups: ConcurrentLinkedQueue[String] = {
+    val q = new ConcurrentLinkedQueue[String]()
+    shared.sparkContext.addSparkListener(new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        q.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).getOrElse(""))
+    })
+    q
+  }
+
+  private val groupIds = new AtomicInteger
 }

@@ -15,6 +15,22 @@ class SchurCfcmSpec extends SparkSpec {
     assert(t.distinct.length == t.length)
   }
 
+  test("residualMaxDegree matches the set-based definition (karate, BA)") {
+    def bySet(g: CsrGraph, removed: Set[Int]): Int =
+      (0 until g.n).filterNot(removed)
+        .map(u => (g.off(u) until g.off(u + 1)).count(i => !removed(g.adj(i))))
+        .maxOption.getOrElse(0)
+    val ba = GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 400, 3, seed = 5))
+    val rng = new java.util.SplittableRandom(3)
+    for (g <- Seq(karate, ba)) {
+      val sets = Seq(Set.empty[Int], Set(g.maxDegreeNode), SchurCfcm.selectT(g).toSet,
+                     (0 until g.n).toSet) ++
+        Seq.fill(5)((0 until g.n).filter(_ => rng.nextInt(4) == 0).toSet)
+      for (removed <- sets)
+        assert(SchurCfcm.residualMaxDegree(g, removed) == bySet(g, removed), s"n=${g.n} |X|=${removed.size}")
+    }
+  }
+
   test("exact Schur complement identity (Lemma 4.3) on karate") {
     // S_T(L_{-S}) computed directly equals the T-submatrix algebra
     val g = karate

@@ -1,8 +1,9 @@
 package repro.forest
 
 import repro.SparkSpec
+import repro.core.{ApproxGreedy, ForestCfcm}
 import repro.graph.{CsrGraph, GraphGen}
-import repro.linalg.Dense
+import repro.linalg.{Dense, Jl}
 
 /** Spark fan-out of the forest sampler: correctness of the distributed merge
   * and the adaptive batching, not the estimator math (EstimatorSpec).
@@ -44,6 +45,56 @@ class SamplerSpec extends SparkSpec {
     val b = ForestSampler.run(spark, ctx, 256, seed = 9)(_ => false)
     assert(a.acc.diagSum.toSeq == b.acc.diagSum.toSeq)
     assert(a.acc.phiSum.toSeq == b.acc.phiSum.toSeq)
+  }
+
+  test("JL sources and Schur roots: same seed gives bit-identical sums whatever task finishes first") {
+    // Slices of ~0.3 s each finish in a different order from run to run.
+    // With w = 3 the JL entries ±1/√3 are inexact, so merging the φ partial
+    // sums in finishing order would change their low bits.
+    val g = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 32, 32))
+    val t = Array(400, 600)
+    val w = 3
+    val sources = Array.tabulate(w)(j => Array.tabulate(g.n)(v => Jl.entry(17, j, v, w)))
+    val ctx = ForestContext(g, Set(0) ++ t, sources, wantDiag = true, t)
+    val runs = Seq.fill(3)(ForestSampler.run(spark, ctx, 8000, seed = 11)(_ => false).acc)
+    val a = runs.head
+    assert(a.count == 8000 && a.rootCnt.exists(_ > 0))
+    for (b <- runs.tail) {
+      assert(java.util.Arrays.equals(a.phiSum, b.phiSum))
+      assert(java.util.Arrays.equals(a.diagSum, b.diagSum))
+      assert(java.util.Arrays.equals(a.diagSqSum, b.diagSqSum))
+      assert(java.util.Arrays.equals(a.rootCnt, b.rootCnt))
+    }
+  }
+
+  test("ApproxGreedy: same seed gives the same picks") {
+    val a = ApproxGreedy.run(spark, karate, 4, eps = 0.5, seed = 21)
+    val b = ApproxGreedy.run(spark, karate, 4, eps = 0.5, seed = 21)
+    assert(a.picks == b.picks)
+  }
+
+  test("one Spark job per sampling batch: budget 500 runs 2 jobs") {
+    val ctx = ForestContext(karate, Set(0), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
+    val (res, jobs) = countJobs(ForestSampler.run(spark, ctx, 500, seed = 5)(_ => false))
+    assert(res.forests == 500)
+    assert(jobs == 2, s"$jobs jobs")
+  }
+
+  test("one Spark job per APPROXGREEDY solve round: k = 3 runs 2k − 1 = 5 jobs") {
+    val g = karate
+    val (res, jobs) = countJobs(ApproxGreedy.run(spark, g, 3, eps = 0.5))
+    assert(res.picks.length == 3)
+    assert(jobs == 5, s"$jobs jobs")
+  }
+
+  test("an isolated node from a gap in the ids fails on the driver before any Spark job") {
+    val edges = spark.createDataFrame(Seq((0, 1), (1, 2), (2, 4), (4, 0))).toDF("src", "dst")
+    val g = CsrGraph.fromDataFrame(edges) // id 3 never appears: degree 0
+    val (e, jobs) = countJobs(intercept[IllegalArgumentException] {
+      ForestCfcm.run(spark, g, 2, ForestCfcm.Config(eps = 0.5))
+    })
+    assert(e.getMessage.contains("node 3 ") && e.getMessage.contains("dense"), e.getMessage)
+    assert(jobs == 0, s"$jobs jobs")
   }
 
   test("budget scales with 1/ε² and is monotone") {

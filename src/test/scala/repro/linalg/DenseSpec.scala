@@ -19,6 +19,15 @@ class DenseSpec extends SparkSpec {
     a
   }
 
+  test("a graph beyond the dense limit fails with a clear message before any Spark job") {
+    val n = Dense.MaxN + 1 // n² overflows Int
+    val path = CsrGraph.fromEdges(n, (0 until n - 1).map(u => (u, u + 1)))
+    val (e, jobs) = countJobs(intercept[IllegalArgumentException](repro.core.ExactGreedy.run(path, 2)))
+    assert(e.getMessage.contains(s"n ≤ ${Dense.MaxN}"), e.getMessage)
+    assert(jobs == 0, s"$jobs jobs")
+    assert(Dense.zeros(3).length == 9)
+  }
+
   for (n <- Seq(1, 2, 5, 12, 30); seed <- Seq(1L, 2L)) {
     test(s"inverse: A·A⁻¹ = I for random SPD n=$n seed=$seed") {
       val a = randSpd(n, seed)
