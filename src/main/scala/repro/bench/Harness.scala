@@ -163,6 +163,46 @@ object Harness {
     sb.toString
   }
 
+  /** One row of the ε sweep: FORESTCFCM and SCHURCFCM wall time, forests
+    * sampled and relative `C(S)` gap to EXACT greedy.
+    */
+  final case class EpsRow(graph: String, eps: Double, forestS: Double, schurS: Double,
+                          forestForests: Long, schurForests: Long,
+                          forestRel: Double, schurRel: Double)
+
+  /** The ε sweep (the paper's Figs. 4–5 as a table): ε ∈ [0.15, 0.4] on
+    * road-1k and ba-2k, rows by graph and then by decreasing ε.
+    */
+  def epsilonSweep(spark: SparkSession, k: Int, log: String => Unit): Seq[EpsRow] = {
+    val graphs = Seq(
+      "road-1k" -> (() => CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 32, 32))),
+      "ba-2k" -> (() => GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 2000, 8, 2001))),
+    )
+    graphs.flatMap { case (name, build) =>
+      val g = build()
+      val cExact = g.n / ExactGreedy.run(g, k).traces.last
+      Seq(0.4, 0.3, 0.2, 0.15).map { eps =>
+        val cfg = ForestCfcm.Config(eps, seed = 17)
+        val (f, fT) = time(ForestCfcm.run(spark, g, k, cfg))
+        val (s, sT) = time(SchurCfcm.run(spark, g, k, cfg))
+        val fRel = math.abs(cExact - Cfcc.exact(g, f.picks.toSet)) / cExact
+        val sRel = math.abs(cExact - Cfcc.exact(g, s.picks.toSet)) / cExact
+        log(f"[$name] eps=$eps forest=$fT%.2fs (rel $fRel%.4f) schur=$sT%.2fs (rel $sRel%.4f)")
+        EpsRow(name, eps, fT, sT, f.forests, s.forests, fRel, sRel)
+      }
+    }
+  }
+
+  def renderEps(rows: Seq[EpsRow]): String = {
+    val sb = new StringBuilder
+    sb.append("| Graph | ε | FOREST time (s) | SCHUR time (s) | FOREST relΔ vs EXACT | SCHUR relΔ vs EXACT |\n")
+    sb.append("|---|---|---|---|---|---|\n")
+    rows.foreach { r =>
+      sb.append(f"| ${r.graph} | ${r.eps} | ${r.forestS}%.2f | ${r.schurS}%.2f | ${r.forestRel}%.4f | ${r.schurRel}%.4f |\n")
+    }
+    sb.toString
+  }
+
   /** Write a results file under bench_results/ (created on demand). */
   def writeResults(fileName: String, content: String): java.nio.file.Path = {
     val dir = java.nio.file.Paths.get(sys.props.getOrElse("repro.results.dir", "bench_results"))

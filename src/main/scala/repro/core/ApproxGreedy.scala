@@ -93,21 +93,12 @@ object ApproxGreedy {
         if (x < bestX) { bestX = x; first = u }
       }
 
-      val picked = scala.collection.mutable.LinkedHashSet(first)
-      var i = 1
-      while (i < k) {
-        val s = picked.toSet
+      val picks = Greedy.run(k, first) { (s, i) =>
         val den = diagInv(s, seed + 1000 * i)
         val num = diagInvSq(s, seed + 1000 * i + 500)
-        var best = -1; var bestDelta = -1.0
-        for (u <- 0 until n if !s.contains(u)) {
-          val delta = num(u) / math.max(den(u), 1e-300)
-          if (delta > bestDelta) { bestDelta = delta; best = u }
-        }
-        picked += best
-        i += 1
+        Array.tabulate(n)(u => num(u) / math.max(den(u), 1e-300))
       }
-      Result(picked.toSeq, solves)
+      Result(picks, solves)
     } finally bcG.destroy()
   }
 }

@@ -29,21 +29,7 @@ object Heuristics {
               denseLimit: Int = 3000, cfg: ForestCfcm.Config = ForestCfcm.Config(0.2)): Seq[Int] = {
     val score: Array[Double] =
       if (g.n <= denseLimit) Cfcc.pseudoinverseDiag(g)
-      else {
-        // x_u of Algorithm 3 ranks L†_uu up to a common constant.
-        val s = g.maxDegreeNode
-        val ones = Array.fill(g.n)(1.0)
-        val ctx = repro.forest.ForestContext(g, Set(s), Array(ones), wantDiag = true)
-        val depth = ForestCfcm.bfsDepths(g, Set(s))
-        val sampled = repro.forest.ForestSampler.run(
-          spark, ctx, repro.forest.ForestSampler.budget(cfg.eps, g.n, cfg.r0), cfg.seed)(
-          acc => ForestCfcm.diagConverged(acc, ctx.isRoot, depth, cfg.eps))
-        val acc = sampled.acc
-        Array.tabulate(g.n) { u =>
-          if (u == s) 0.0
-          else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
-        }
-      }
+      else ForestCfcm.firstPickScores(spark, g, cfg)._1 // x_u ranks L†_uu up to a constant
     (0 until g.n).sortBy(u => (score(u), u)).take(k)
   }
 }

@@ -60,7 +60,6 @@ object SchurCfcm {
     val sources = Array.tabulate(w)(j => Array.tabulate(n)(v => Jl.entry(jlSeed, j, v, w)))
     val q = Array.tabulate(w)(j => Array.tabulate(nt)(i => Jl.entry(jlSeed, j, tList(i), w)))
     val ctx = ForestContext(g, roots, sources, wantDiag = true, tList)
-    val depth = ForestCfcm.bfsDepths(g, roots)
     // Lemma 4.5 vs 3.9: SCHURDELTA's required sample size carries
     // d_max^{2τ+2}(S∪T) in place of d_max^{2τ+2}(S) — removing the hubs in T
     // slashes it. We render that conservatively (exponent softened to 1,
@@ -70,10 +69,7 @@ object SchurCfcm {
     val dMaxST = residualMaxDegree(g, roots)
     val ratio = math.min(1.0, math.max(0.3, (dMaxST + 1.0) / (dMaxS + 1.0)))
     val budget = math.max(64L, (ForestSampler.budget(cfg.eps, n, cfg.r0) * ratio).toLong)
-    val sampled = ForestSampler.run(spark, ctx, budget,
-                                    cfg.seed + 31 * iter)(acc =>
-      ForestCfcm.diagConverged(acc, ctx.isRoot, depth, cfg.eps))
-    val acc = sampled.acc
+    val acc = ForestSampler.run(spark, ctx, budget, cfg.seed + 31 * iter)
     val cnt = acc.count.toDouble
 
     // F̃ rows (rooted probabilities) as sparse (tIndex, prob) pairs per u ∈ U.
@@ -192,7 +188,7 @@ object SchurCfcm {
       delta(t) = nsq / math.max(z, 1e-300)
       t2 += 1
     }
-    ForestCfcm.DeltaEstimates(delta, den, num, sampled.forests)
+    ForestCfcm.DeltaEstimates(delta, den, num, acc.count)
   }
 
   /** Full SCHURCFCM greedy (Algorithm 5): phase 1 is identical to
@@ -203,23 +199,13 @@ object SchurCfcm {
           tCap: Int = 320): Result = {
     require(k >= 1 && k < g.n)
     val t = selectT(g, tCap)
-    var forests = 0L
     val (first, f0) = ForestCfcm.firstPick(spark, g, cfg)
-    forests += f0
-    val picked = scala.collection.mutable.LinkedHashSet(first)
-    var i = 1
-    while (i < k) {
-      val est = schurDelta(spark, g, picked.toSet, t, cfg, i)
+    var forests = f0
+    val picks = Greedy.run(k, first) { (s, i) =>
+      val est = schurDelta(spark, g, s, t, cfg, i)
       forests += est.forests
-      var best = -1; var bestD = Double.NegativeInfinity
-      var u = 0
-      while (u < g.n) {
-        if (!picked.contains(u) && est.delta(u) > bestD) { bestD = est.delta(u); best = u }
-        u += 1
-      }
-      picked += best
-      i += 1
+      est.delta
     }
-    Result(picked.toSeq, t.toSeq, forests)
+    Result(picks, t.toSeq, forests)
   }
 }

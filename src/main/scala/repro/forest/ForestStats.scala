@@ -77,22 +77,22 @@ object ForestContext {
   *    Euler-tour ancestor tests;
   *  - rooted-at-`t` counts `Ñ(ρ_u = t)` for the Schur variant (Lemma 4.2).
   *
-  * Squared sums back the empirical-Bernstein stopping rule (Lemma 3.6).
-  * Accumulators merge associatively, so each slice of a batch folds locally
-  * and the driver merges the partials in slice order.
+  * Accumulators merge associatively, so each slice of a sampling phase folds
+  * locally and the driver merges the partials in slice order.
   */
 final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
     extends Serializable {
   var count: Long = 0L
-  /** Σ_forests φ_j(u), flat nsrc×n. (No squared sums here: the adaptive stop
-    * uses the diagonal's Bernstein bound only — see ForestCfcm.diagConverged —
-    * and shipping a second nsrc×n array per partition per batch doubles the
-    * dominant serialization cost.)
+  /** Σ_forests φ_j(u), flat nsrc×n. (No squared sums: shipping a second
+    * nsrc×n array per partition would double the dominant serialization
+    * cost.)
     */
   val phiSum: Array[Double] = new Array[Double](nsrc * n)
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
-  /** Σ_forests D(u)². */
+  /** Σ_forests D(u)². No estimator reads it; `perfbench` sizes the
+    * accumulator with it (ROADMAP item 3).
+    */
   val diagSqSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
   /** Ñ(ρ_u = t), flat n×numT. */
   val rootCnt: Array[Int] = if (numT > 0) new Array[Int](n * numT) else Array.emptyIntArray

@@ -1,14 +1,13 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Graph analytics over edge DataFrames plus local CSR helpers.
   *
-  * DataFrame algorithms (degrees, components) are the Catalyst-facing layer —
-  * tests verify them against DuckDB (degrees) and a local union-find
-  * (components). BFS / diameter run on the CSR because they sit on the hot
-  * path of the samplers.
+  * Degrees are the Catalyst-facing layer — tests verify them against DuckDB.
+  * Components, BFS and diameter run on the local CSR (BFS sits on the hot
+  * path of the samplers).
   */
 object GraphOps {
 
@@ -18,38 +17,9 @@ object GraphOps {
     ends.groupBy("node").agg(count(lit(1)).as("degree"))
   }
 
-  /** Connected components by iterative min-label propagation, entirely in
-    * DataFrames: every node starts with its own id as label and repeatedly
-    * takes the min label in its closed neighborhood until a fixpoint.
-    * Returns `(node, component)`. Intended for small/medium graphs (each
-    * round is a shuffle).
-    */
-  def connectedComponents(edges: DataFrame): DataFrame = {
-    val sym = edges.select(col("src"), col("dst"))
-      .unionAll(edges.select(col("dst").as("src"), col("src").as("dst")))
-      .localCheckpoint(true) // truncate lineage: each round below re-joins it
-    var labels = sym.select(col("src").as("node")).distinct()
-      .withColumn("component", col("node"))
-      .localCheckpoint(true)
-    var changed = 1L
-    while (changed > 0) {
-      val viaNeighbor = sym
-        .join(labels, sym("dst") === labels("node"))
-        .select(sym("src").as("node"), col("component"))
-      // localCheckpoint per round: iterative self-joins otherwise grow the
-      // logical plan exponentially and Catalyst planning dominates runtime.
-      val next = labels.select(col("node"), col("component")).unionAll(viaNeighbor)
-        .groupBy("node").agg(min("component").as("component"))
-        .localCheckpoint(true)
-      changed = next.join(labels.withColumnRenamed("component", "old"), "node")
-        .where(col("component") =!= col("old")).count()
-      labels = next
-    }
-    labels
-  }
-
-  /** Local union-find components over collected edges — the oracle for
-    * [[connectedComponents]] and the fast path for LCC extraction.
+  /** Connected components by union-find over collected edges: the
+    * component label of every node, the smallest id in its component. Used
+    * for LCC extraction.
     */
   def unionFindComponents(n: Int, edges: Iterable[(Int, Int)]): Array[Int] = {
     val parent = Array.tabulate(n)(identity)

@@ -53,6 +53,18 @@ class ForestCfcmSpec extends SparkSpec {
     assert(cForest >= 0.9 * cExact, s"forest $cForest vs exact $cExact")
   }
 
+  test("run picks equal a re-drive through firstPick and forestDelta with a lowest-id argmax") {
+    val g = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 6, 6))
+    val c = ForestCfcm.Config(eps = 0.3, seed = 3)
+    val res = ForestCfcm.run(spark, g, 4, c)
+    val picks = scala.collection.mutable.ArrayBuffer(ForestCfcm.firstPick(spark, g, c)._1)
+    for (i <- 1 until 4) {
+      val delta = ForestCfcm.forestDelta(spark, g, picks.toSet, c, i).delta
+      picks += (0 until g.n).filterNot(picks.contains).reduceLeft((a, b) => if (delta(b) > delta(a)) b else a)
+    }
+    assert(res.picks == picks.toSeq)
+  }
+
   test("quality improves (weakly) with smaller ε on the dolphins stand-in") {
     val g = GraphOps.largestComponent(GraphGen.dolphinsLike(spark))
     val loose = ForestCfcm.run(spark, g, 3, ForestCfcm.Config(eps = 0.45, r0 = 1.0, seed = 2))

@@ -1,12 +1,12 @@
 package repro.forest
 
 import repro.SparkSpec
-import repro.core.{ApproxGreedy, ForestCfcm}
+import repro.core.{ApproxGreedy, ForestCfcm, SchurCfcm}
 import repro.graph.{CsrGraph, GraphGen}
 import repro.linalg.{Dense, Jl}
 
 /** Spark fan-out of the forest sampler: correctness of the distributed merge
-  * and the adaptive batching, not the estimator math (EstimatorSpec).
+  * and the job count, not the estimator math (EstimatorSpec).
   */
 class SamplerSpec extends SparkSpec {
 
@@ -14,26 +14,18 @@ class SamplerSpec extends SparkSpec {
 
   test("distributed sampling merges to the requested forest count") {
     val ctx = ForestContext(karate, Set(0), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
-    val res = ForestSampler.run(spark, ctx, 500, seed = 5)(_ => false)
-    assert(res.forests == 500 && res.acc.count == 500)
-    assert(!res.converged)
-  }
-
-  test("adaptive stop halts sampling early when the predicate fires") {
-    val ctx = ForestContext(karate, Set(0), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
-    val res = ForestSampler.run(spark, ctx, 100000, seed = 6)(acc => acc.count >= 100)
-    assert(res.converged)
-    assert(res.forests < 5000, s"sampled ${res.forests}") // stopped well before budget
+    val acc = ForestSampler.run(spark, ctx, 500, seed = 5)
+    assert(acc.count == 500)
   }
 
   test("distributed estimates converge to dense ground truth") {
     val g = karate
     val s = Set(33)
     val ctx = ForestContext(g, s, Array(Array.fill(g.n)(1.0)), wantDiag = true)
-    val res = ForestSampler.run(spark, ctx, 20000, seed = 7)(_ => false)
+    val acc = ForestSampler.run(spark, ctx, 20000, seed = 7)
     val (keep, inv) = Dense.submatrixInverse(g, s)
     for ((u, i) <- keep.zipWithIndex) {
-      val est = res.acc.diagSum(u) / res.acc.count
+      val est = acc.diagSum(u) / acc.count
       val ex = Dense.get(inv, keep.length, i, i)
       assert(math.abs(est - ex) < math.max(0.1 * ex, 0.12), s"diag($u) est=$est exact=$ex")
     }
@@ -41,10 +33,10 @@ class SamplerSpec extends SparkSpec {
 
   test("same seed and budget give identical accumulator sums (determinism)") {
     val ctx = ForestContext(karate, Set(0, 1), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
-    val a = ForestSampler.run(spark, ctx, 256, seed = 9)(_ => false)
-    val b = ForestSampler.run(spark, ctx, 256, seed = 9)(_ => false)
-    assert(a.acc.diagSum.toSeq == b.acc.diagSum.toSeq)
-    assert(a.acc.phiSum.toSeq == b.acc.phiSum.toSeq)
+    val a = ForestSampler.run(spark, ctx, 256, seed = 9)
+    val b = ForestSampler.run(spark, ctx, 256, seed = 9)
+    assert(a.diagSum.toSeq == b.diagSum.toSeq)
+    assert(a.phiSum.toSeq == b.phiSum.toSeq)
   }
 
   test("JL sources and Schur roots: same seed gives bit-identical sums whatever task finishes first") {
@@ -56,7 +48,7 @@ class SamplerSpec extends SparkSpec {
     val w = 3
     val sources = Array.tabulate(w)(j => Array.tabulate(g.n)(v => Jl.entry(17, j, v, w)))
     val ctx = ForestContext(g, Set(0) ++ t, sources, wantDiag = true, t)
-    val runs = Seq.fill(3)(ForestSampler.run(spark, ctx, 8000, seed = 11)(_ => false).acc)
+    val runs = Seq.fill(3)(ForestSampler.run(spark, ctx, 8000, seed = 11))
     val a = runs.head
     assert(a.count == 8000 && a.rootCnt.exists(_ > 0))
     for (b <- runs.tail) {
@@ -73,11 +65,28 @@ class SamplerSpec extends SparkSpec {
     assert(a.picks == b.picks)
   }
 
-  test("one Spark job per sampling batch: budget 500 runs 2 jobs") {
+  test("one Spark job per sampling phase: budget 500 runs 1 job") {
     val ctx = ForestContext(karate, Set(0), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
-    val (res, jobs) = countJobs(ForestSampler.run(spark, ctx, 500, seed = 5)(_ => false))
-    assert(res.forests == 500)
-    assert(jobs == 2, s"$jobs jobs")
+    val (acc, jobs) = countJobs(ForestSampler.run(spark, ctx, 500, seed = 5))
+    assert(acc.count == 500)
+    assert(jobs == 1, s"$jobs jobs")
+  }
+
+  // ε = 0.2 gives a budget of 177 forests on karate: more than one batch
+  // for a sampler that stops adaptively between batches.
+  private val phaseCfg = ForestCfcm.Config(eps = 0.2)
+
+  test("one Spark job per FORESTCFCM phase: k = 3 runs 3 jobs") {
+    assert(ForestSampler.budget(phaseCfg.eps, karate.n, phaseCfg.r0) == 177)
+    val (res, jobs) = countJobs(ForestCfcm.run(spark, karate, 3, phaseCfg))
+    assert(res.picks.length == 3 && res.forests == 3 * 177)
+    assert(jobs == 3, s"$jobs jobs")
+  }
+
+  test("one Spark job per SCHURCFCM phase: k = 3 runs 3 jobs") {
+    val (res, jobs) = countJobs(SchurCfcm.run(spark, karate, 3, phaseCfg))
+    assert(res.picks.length == 3)
+    assert(jobs == 3, s"$jobs jobs")
   }
 
   test("one Spark job per APPROXGREEDY solve round: k = 3 runs 2k − 1 = 5 jobs") {
@@ -101,15 +110,6 @@ class SamplerSpec extends SparkSpec {
     assert(ForestSampler.budget(0.3, 1000) < ForestSampler.budget(0.2, 1000))
     assert(ForestSampler.budget(0.2, 1000) < ForestSampler.budget(0.15, 1000))
     assert(ForestSampler.budget(0.2, 100) <= ForestSampler.budget(0.2, 100000))
-  }
-
-  test("bernstein bound shrinks with sample count and variance") {
-    val logTerm = math.log(3.0 * 100)
-    val loose = ForestSampler.bernstein(100.0, 400.0, 100, 5.0, logTerm)
-    val tight = ForestSampler.bernstein(10000.0, 40000.0, 10000, 5.0, logTerm)
-    assert(tight < loose)
-    val lowVar = ForestSampler.bernstein(10000.0, 10000.0 * 1.0001, 10000, 5.0, logTerm)
-    assert(lowVar < tight + 1e-9)
   }
 
   test("accumulator merge is associative on real folds") {
