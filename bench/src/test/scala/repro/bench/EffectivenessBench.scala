@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.graph.GraphGen
 
 /** Reproduces the paper's effectiveness comparisons as tables:
   * Fig. 1 (tiny graphs vs the exhaustive OPTIMUM, k ≤ 3) and Figs. 2–3
@@ -14,15 +13,7 @@ class EffectivenessBench extends SparkSpec {
   private val eps = 0.2 // the paper's effectiveness setting
 
   test("Fig. 1 (as table): tiny graphs — greedy solutions reach the optimum") {
-    val rows = Seq(
-      "zebraLike" -> GraphGen.zebraLike(spark),
-      "karate" -> GraphGen.karate(spark),
-      "contUsaLike" -> GraphGen.contUsaLike(spark),
-      "dolphinsLike" -> GraphGen.dolphinsLike(spark),
-    ).flatMap { case (name, df) =>
-      Harness.effectivenessRows(spark, name, df, ks = Seq(1, 2, 3), eps,
-                                withOptimum = true, s => info(s))
-    }
+    val rows = Harness.effectivenessTiny(spark, eps, info(_))
     val table = Harness.renderEff(rows)
     Harness.writeResults("effectiveness_tiny.md", table)
     println(table)
@@ -42,13 +33,7 @@ class EffectivenessBench extends SparkSpec {
   }
 
   test("Figs. 2–3 (as table): small graphs — greedy family dominates heuristics") {
-    val rows = Seq(
-      "road-1k" -> GraphGen.grid2d(spark, 32, 32),
-      "ba-1k" -> GraphGen.barabasiAlbert(spark, 1000, 4, 1001),
-    ).flatMap { case (name, df) =>
-      Harness.effectivenessRows(spark, name, df, ks = Seq(5, 10, 20), eps,
-                                withOptimum = false, s => info(s))
-    }
+    val rows = Harness.effectivenessSmall(spark, eps, info(_))
     val table = Harness.renderEff(rows)
     Harness.writeResults("effectiveness_small.md", table)
     println(table)

@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.bench.Harness
-import repro.graph.GraphGen
 
 /** spark-submit entrypoint reproducing the effectiveness comparisons
   * (Figs. 1–3 as tables).
@@ -16,24 +15,12 @@ object Effectiveness {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer").getOrCreate()
     try {
-      val tiny = Seq(
-        "zebraLike" -> GraphGen.zebraLike(spark),
-        "karate" -> GraphGen.karate(spark),
-        "contUsaLike" -> GraphGen.contUsaLike(spark),
-        "dolphinsLike" -> GraphGen.dolphinsLike(spark),
-      ).flatMap { case (n, df) =>
-        Harness.effectivenessRows(spark, n, df, Seq(1, 2, 3), eps, withOptimum = true, println)
+      def write(file: String, rows: Seq[Harness.EffRow]): Unit = {
+        println(Harness.renderEff(rows))
+        println(s"written: ${Harness.writeResults(file, Harness.renderEff(rows))}")
       }
-      println(Harness.renderEff(tiny))
-      println(s"written: ${Harness.writeResults("effectiveness_tiny.md", Harness.renderEff(tiny))}")
-      val small = Seq(
-        "road-1k" -> GraphGen.grid2d(spark, 32, 32),
-        "ba-1k" -> GraphGen.barabasiAlbert(spark, 1000, 4, 1001),
-      ).flatMap { case (n, df) =>
-        Harness.effectivenessRows(spark, n, df, Seq(5, 10, 20), eps, withOptimum = false, println)
-      }
-      println(Harness.renderEff(small))
-      println(s"written: ${Harness.writeResults("effectiveness_small.md", Harness.renderEff(small))}")
+      write("effectiveness_tiny.md", Harness.effectivenessTiny(spark, eps, println))
+      write("effectiveness_small.md", Harness.effectivenessSmall(spark, eps, println))
     } finally spark.stop()
   }
 }

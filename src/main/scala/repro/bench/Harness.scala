@@ -75,7 +75,7 @@ object Harness {
                  log: String => Unit): TableIIRow = {
     val (g, tBuild) = time(spec.build(spark))
     val tau = GraphOps.diameterEstimate(g)
-    val tStar = GraphOps.tStar(g, 320)
+    val tStar = SchurCfcm.selectT(g).length
     log(f"[${spec.name}] built n=${g.n} m=${g.m} tau=$tau |T*|=$tStar (${tBuild}%.1fs)")
     val exactS = if (spec.runExact) {
       val (_, t) = time(ExactGreedy.run(g, k)); log(f"[${spec.name}] EXACT ${t}%.2fs"); Some(t)
@@ -121,10 +121,28 @@ object Harness {
     */
   final case class EffRow(graph: String, k: Int, scores: Seq[(String, Double)])
 
-  def effectivenessRows(spark: SparkSession, name: String,
-                        edges: org.apache.spark.sql.DataFrame, ks: Seq[Int],
-                        eps: Double, withOptimum: Boolean,
-                        log: String => Unit): Seq[EffRow] = {
+  /** Fig. 1 as a table: the tiny graphs, k ∈ {1, 2, 3}, with the exhaustive
+    * OPTIMUM.
+    */
+  def effectivenessTiny(spark: SparkSession, eps: Double, log: String => Unit): Seq[EffRow] =
+    Seq(
+      "zebraLike" -> GraphGen.zebraLike(spark),
+      "karate" -> GraphGen.karate(spark),
+      "contUsaLike" -> GraphGen.contUsaLike(spark),
+      "dolphinsLike" -> GraphGen.dolphinsLike(spark),
+    ).flatMap { case (name, df) => effectivenessRows(spark, name, df, Seq(1, 2, 3), eps, withOptimum = true, log) }
+
+  /** Figs. 2–3 as a table: the small graphs, k ∈ {5, 10, 20}. */
+  def effectivenessSmall(spark: SparkSession, eps: Double, log: String => Unit): Seq[EffRow] =
+    Seq(
+      "road-1k" -> GraphGen.grid2d(spark, 32, 32),
+      "ba-1k" -> GraphGen.barabasiAlbert(spark, 1000, 4, 1001),
+    ).flatMap { case (name, df) => effectivenessRows(spark, name, df, Seq(5, 10, 20), eps, withOptimum = false, log) }
+
+  private def effectivenessRows(spark: SparkSession, name: String,
+                                edges: org.apache.spark.sql.DataFrame, ks: Seq[Int],
+                                eps: Double, withOptimum: Boolean,
+                                log: String => Unit): Seq[EffRow] = {
     val g = GraphOps.largestComponent(edges)
     val cfg = ForestCfcm.Config(eps, r0 = 4.0, seed = 7)
     val kMax = ks.max

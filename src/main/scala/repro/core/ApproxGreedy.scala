@@ -33,8 +33,10 @@ object ApproxGreedy {
   def width(eps: Double, n: Int): Int =
     math.max(8, math.ceil(24.0 * math.log(math.max(3, n)) / (eps * eps)).toInt)
 
-  def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234,
-          cgTol: Double = 1e-6): Result = {
+  /** Relative residual at which every CG solve stops. */
+  private final val CgTol = 1e-6
+
+  def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234): Result = {
     require(k >= 1 && k < g.n)
     val n = g.n
     val w = width(eps, n)
@@ -71,7 +73,7 @@ object ApproxGreedy {
               var v = 0
               while (v < gg.n) { if (!inS(v)) rhs(v) = Jl.entry(jlSeed, j, v, w); v += 1 }
             }
-            val (x, _) = Cg.solve(gg, s, rhs, cgTol)
+            val (x, _) = Cg.solve(gg, s, rhs, CgTol)
             var u = 0
             while (u < gg.n) { val xv = x(u); acc(u) += xv * xv; u += 1 }
           }
@@ -86,12 +88,8 @@ object ApproxGreedy {
       val s0 = g.maxDegreeNode
       val dInv = diagInv(Set(s0), seed)
       val ones = Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0)
-      val (h, _) = Cg.solve(g, Set(s0), ones, cgTol); solves += 1
-      var first = s0; var bestX = 0.0 // x_{s0} = 0 after dropping the constant term
-      for (u <- 0 until n if u != s0) {
-        val x = dInv(u) - 2.0 / n * h(u)
-        if (x < bestX) { bestX = x; first = u }
-      }
+      val (h, _) = Cg.solve(g, Set(s0), ones, CgTol); solves += 1
+      val first = Greedy.firstPick(Array.tabulate(n)(u => dInv(u) - 2.0 / n * h(u)), s0)
 
       val picks = Greedy.run(k, first) { (s, i) =>
         val den = diagInv(s, seed + 1000 * i)

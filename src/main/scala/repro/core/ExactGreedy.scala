@@ -21,37 +21,32 @@ object ExactGreedy {
   def run(g: CsrGraph, k: Int): Result = {
     require(k >= 1 && k < g.n)
     val n = g.n
-    // First pick: argmin of diag(L†) — Eq. (4).
-    val pdiag = Cfcc.pseudoinverseDiag(g)
-    var first = 0
-    for (u <- 1 until n) if (pdiag(u) < pdiag(first)) first = u
+    // First pick: argmin of diag(L†) — Eq. (4) — ties to the lowest id.
+    val first = Greedy.argmax(Cfcc.pseudoinverseDiag(g).map(-_), Set.empty)
 
-    val picks = scala.collection.mutable.ArrayBuffer(first)
-    val traces = scala.collection.mutable.ArrayBuffer.empty[Double]
-    // Maintain M = L_{-S}^{-1} over the surviving index list.
+    // Maintain M = L_{-S}^{-1} over `keep`, the ids outside S in ascending order.
     var keep = (0 until n).filterNot(_ == first).toArray
-    var m = {
-      val lap = Dense.laplacian(g)
-      Dense.inverse(Dense.submatrix(lap, n, keep), keep.length)
-    }
-    traces += Dense.trace(m, keep.length)
-    var i = 1
-    while (i < k) {
-      val sz = keep.length
-      // Δ(u,S) = ||M e_u||² / M_uu — pick the max (Eq. 5).
-      var best = 0; var bestDelta = -1.0
-      var j = 0
-      while (j < sz) {
-        val delta = Dense.colNormSq(m, sz, j) / Dense.get(m, sz, j, j)
-        if (delta > bestDelta) { bestDelta = delta; best = j }
-        j += 1
+    var m = Dense.inverse(Dense.submatrix(Dense.laplacian(g), n, keep), keep.length)
+    val traces = scala.collection.mutable.ArrayBuffer(Dense.trace(m, keep.length))
+    // Downdate M for the one pick in S still in `keep` (the previous pick).
+    def dropPicked(s: Set[Int]): Unit = {
+      val j = keep.indexWhere(s.contains)
+      if (j >= 0) {
+        m = Dense.downdate(m, keep.length, j)
+        keep = keep.patch(j, Nil, 1)
+        traces += Dense.trace(m, keep.length)
       }
-      picks += keep(best)
-      m = Dense.downdate(m, sz, best)
-      keep = keep.patch(best, Nil, 1)
-      traces += Dense.trace(m, keep.length)
-      i += 1
     }
-    Result(picks.toSeq, traces.toSeq)
+    val picks = Greedy.run(k, first) { (s, _) =>
+      dropPicked(s)
+      // Δ(u,S) = ||M e_u||² / M_uu (Eq. 5).
+      val sz = keep.length
+      val delta = Array.fill(n)(Double.NegativeInfinity)
+      var j = 0
+      while (j < sz) { delta(keep(j)) = Dense.colNormSq(m, sz, j) / Dense.get(m, sz, j, j); j += 1 }
+      delta
+    }
+    dropPicked(picks.toSet)
+    Result(picks, traces.toSeq)
   }
 }

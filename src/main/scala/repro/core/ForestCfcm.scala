@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.forest.{ForestContext, ForestSampler}
 import repro.graph.CsrGraph
-import repro.linalg.Jl
 
 /** FORESTCFCM (Algorithm 3) with FORESTDELTA (Algorithm 2).
   *
@@ -46,60 +45,42 @@ object ForestCfcm {
     (x, acc.count)
   }
 
-  /** First greedy pick (Algorithm 3): the argmin of [[firstPickScores]], ties
-    * to s and then to the lowest id. Returns the pick and the forest count.
+  /** First greedy pick (Algorithm 3): [[Greedy.firstPick]] over
+    * [[firstPickScores]]. Returns the pick and the forest count.
     */
   def firstPick(spark: SparkSession, g: CsrGraph, cfg: Config): (Int, Long) = {
     val (x, forests) = firstPickScores(spark, g, cfg)
-    val s = g.maxDegreeNode
-    var best = s; var bestX = 0.0
-    var u = 0
-    while (u < g.n) {
-      if (x(u) < bestX) { bestX = x(u); best = u } // x_s = 0 never beats bestX ≤ 0
-      u += 1
-    }
-    (best, forests)
+    (Greedy.firstPick(x, g.maxDegreeNode), forests)
   }
 
   /** FORESTDELTA (Algorithm 2): estimate `Δ(u,S)` for all u ∉ S by sampling
-    * forests rooted at S with JL source rows.
+    * forests rooted at S with JL source rows — SCHURDELTA's assembly with
+    * T = ∅ at the full forest budget.
     */
   def forestDelta(spark: SparkSession, g: CsrGraph, s: Set[Int], cfg: Config,
-                  iter: Int): DeltaEstimates = {
-    val w = Jl.width(cfg.eps)
-    val jlSeed = cfg.seed + 7919L * iter
-    val sources = Array.tabulate(w)(j => Array.tabulate(g.n)(v => Jl.entry(jlSeed, j, v, w)))
-    val ctx = ForestContext(g, s, sources, wantDiag = true)
-    val acc = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0), cfg.seed + iter)
-    val n = g.n
-    val delta = Array.fill(n)(Double.NegativeInfinity)
-    val den = new Array[Double](n)
-    val num = new Array[Double](n)
-    var u = 0
-    while (u < n) {
-      if (!ctx.isRoot(u)) {
-        var nsq = 0.0
-        var j = 0
-        while (j < w) { val y = acc.phiSum(j * n + u) / acc.count; nsq += y * y; j += 1 }
-        val z = acc.diagSum(u) / acc.count
-        den(u) = z; num(u) = nsq
-        delta(u) = nsq / math.max(z, 1e-300)
-      }
-      u += 1
-    }
-    DeltaEstimates(delta, den, num, acc.count)
-  }
+                  iter: Int): DeltaEstimates =
+    SchurCfcm.assemble(spark, g, s, Array.emptyIntArray, cfg.eps, ForestSampler.budget(cfg.eps, g.n, cfg.r0),
+                       cfg.seed + iter, cfg.seed + 7919L * iter)
 
   /** Full FORESTCFCM greedy (Algorithm 3). */
   def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: Config): Result = {
+    val (picks, forests) = greedy(spark, g, k, cfg)(forestDelta(spark, g, _, cfg, _))
+    Result(picks, forests)
+  }
+
+  /** The run body FORESTCFCM and SCHURCFCM share: [[firstPick]], then
+    * [[Greedy.run]] over `delta`. Returns the picks and the forests sampled.
+    */
+  private[core] def greedy(spark: SparkSession, g: CsrGraph, k: Int, cfg: Config)
+                          (delta: (Set[Int], Int) => DeltaEstimates): (Seq[Int], Long) = {
     require(k >= 1 && k < g.n)
     val (first, f0) = firstPick(spark, g, cfg)
     var forests = f0
     val picks = Greedy.run(k, first) { (s, i) =>
-      val est = forestDelta(spark, g, s, cfg, i)
+      val est = delta(s, i)
       forests += est.forests
       est.delta
     }
-    Result(picks, forests)
+    (picks, forests)
   }
 }

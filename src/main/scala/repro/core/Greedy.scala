@@ -1,7 +1,8 @@
 package repro.core
 
-/** The greedy loop of FORESTCFCM, SCHURCFCM and APPROXGREEDY: a first pick,
-  * then k−1 picks, each the argmax of that iteration's Δ estimates.
+/** The greedy loop of all four greedy algorithms (FORESTCFCM, SCHURCFCM,
+  * APPROXGREEDY and EXACT): a first pick, then k−1 picks, each the argmax of
+  * that iteration's Δ estimates.
   */
 object Greedy {
 
@@ -18,6 +19,20 @@ object Greedy {
       i += 1
     }
     picked.toSeq
+  }
+
+  /** First pick from Lemma 3.5 scores `x` taken around a reference node s,
+    * whose own score is `x_s ≡ 0` whatever `x(s)` holds: the argmin of x,
+    * ties to s and then to the lowest id.
+    */
+  def firstPick(x: Array[Double], s: Int): Int = {
+    var best = s; var bestX = 0.0
+    var u = 0
+    while (u < x.length) {
+      if (u != s && x(u) < bestX) { bestX = x(u); best = u }
+      u += 1
+    }
+    best
   }
 
   /** The node outside `picked` with the largest Δ, ties to the lowest id; a

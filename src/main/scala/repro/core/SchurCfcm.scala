@@ -35,41 +35,51 @@ object SchurCfcm {
     best
   }
 
-  /** T per Section V-A: degree-peel until `|T| ≈ d_max(T)` (capped — the
-    * dense |T|³ Schur inversion must stay cheap).
+  /** Cap on |T|: the dense |T|³ Schur inversion must stay cheap. */
+  val TCap = 320
+
+  /** T per Section V-A: degree-peel until `|T| ≈ d_max(T)`, at most
+    * [[TCap]] nodes.
     */
-  def selectT(g: CsrGraph, cap: Int = 320): Array[Int] = {
-    val c = math.min(GraphOps.tStar(g, cap), cap)
-    val (order, _) = GraphOps.degreePeeling(g, c)
-    order.take(c)
-  }
+  def selectT(g: CsrGraph): Array[Int] = GraphOps.tStar(g, TCap)
 
   /** SCHURDELTA (Algorithm 4): `Δ'(u,S)` for u ∉ S using roots S ∪ T'. */
   def schurDelta(spark: SparkSession, g: CsrGraph, s: Set[Int], tAll: Array[Int],
                  cfg: ForestCfcm.Config, iter: Int): ForestCfcm.DeltaEstimates = {
     val tList = tAll.filterNot(s.contains)
     if (tList.isEmpty) return ForestCfcm.forestDelta(spark, g, s, cfg, iter)
-    val n = g.n
-    val nt = tList.length
-    val w = Jl.width(cfg.eps)
-    val roots = s ++ tList
-    val jlSeed = cfg.seed + 104729L * iter
-    // One JL matrix over V\S; its U-part rides the forest estimator as source
-    // rows (W), its T-part (Q) enters the Schur algebra below. ForestContext
-    // grounds the rows at the roots, which zeroes exactly the T-part.
-    val sources = Array.tabulate(w)(j => Array.tabulate(n)(v => Jl.entry(jlSeed, j, v, w)))
-    val q = Array.tabulate(w)(j => Array.tabulate(nt)(i => Jl.entry(jlSeed, j, tList(i), w)))
-    val ctx = ForestContext(g, roots, sources, wantDiag = true, tList)
     // Lemma 4.5 vs 3.9: SCHURDELTA's required sample size carries
     // d_max^{2τ+2}(S∪T) in place of d_max^{2τ+2}(S) — removing the hubs in T
     // slashes it. We render that conservatively (exponent softened to 1,
     // floor 0.3) on top of the shared practical budget; this is where the
     // paper's "SCHURCFCM is always faster" shows up at fixed ε.
     val dMaxS = residualMaxDegree(g, s)
-    val dMaxST = residualMaxDegree(g, roots)
+    val dMaxST = residualMaxDegree(g, s ++ tList)
     val ratio = math.min(1.0, math.max(0.3, (dMaxST + 1.0) / (dMaxS + 1.0)))
-    val budget = math.max(64L, (ForestSampler.budget(cfg.eps, n, cfg.r0) * ratio).toLong)
-    val acc = ForestSampler.run(spark, ctx, budget, cfg.seed + 31 * iter)
+    val budget = math.max(64L, (ForestSampler.budget(cfg.eps, g.n, cfg.r0) * ratio).toLong)
+    assemble(spark, g, s, tList, cfg.eps, budget, cfg.seed + 31 * iter, cfg.seed + 104729L * iter)
+  }
+
+  /** The Δ assembly of SCHURDELTA, and of FORESTDELTA as its T = ∅ case:
+    * sample `budget` forests (base seed `seed`) rooted at S ∪ T with the
+    * rows of one JL matrix (seed `jlSeed`) as sources, then assemble z_u and
+    * Y through the block form of Eq. (11). With T empty there is no Schur
+    * complement: the correction term is 0, Y has no A·F̃ term and there are
+    * no T rows, which leaves exactly Lemma 3.3's estimator.
+    */
+  private[core] def assemble(spark: SparkSession, g: CsrGraph, s: Set[Int], tList: Array[Int],
+                             eps: Double, budget: Long, seed: Long,
+                             jlSeed: Long): ForestCfcm.DeltaEstimates = {
+    val n = g.n
+    val nt = tList.length
+    val w = Jl.width(eps)
+    // One JL matrix over V\S; its U-part rides the forest estimator as source
+    // rows (W), its T-part (Q) enters the Schur algebra below. ForestContext
+    // grounds the rows at the roots, which zeroes exactly the T-part.
+    val sources = Jl.materialize(jlSeed, w, n)
+    val q = sources.map(row => tList.map(row(_)))
+    val ctx = ForestContext(g, s ++ tList, sources, wantDiag = true, tList)
+    val acc = ForestSampler.run(spark, ctx, budget, seed)
     val cnt = acc.count.toDouble
 
     // F̃ rows (rooted probabilities) as sparse (tIndex, prob) pairs per u ∈ U.
@@ -191,21 +201,13 @@ object SchurCfcm {
     ForestCfcm.DeltaEstimates(delta, den, num, acc.count)
   }
 
-  /** Full SCHURCFCM greedy (Algorithm 5): phase 1 is identical to
-    * FORESTCFCM (no Schur — see the paper's remark before Theorem 4.7);
-    * iterations use SCHURDELTA with the residual auxiliary root set T \ S.
+  /** Full SCHURCFCM greedy (Algorithm 5): FORESTCFCM's run with SCHURDELTA
+    * over the residual auxiliary root set T \ S as its Δ; phase 1 is
+    * FORESTCFCM's (no Schur — see the paper's remark before Theorem 4.7).
     */
-  def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config,
-          tCap: Int = 320): Result = {
-    require(k >= 1 && k < g.n)
-    val t = selectT(g, tCap)
-    val (first, f0) = ForestCfcm.firstPick(spark, g, cfg)
-    var forests = f0
-    val picks = Greedy.run(k, first) { (s, i) =>
-      val est = schurDelta(spark, g, s, t, cfg, i)
-      forests += est.forests
-      est.delta
-    }
+  def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config): Result = {
+    val t = selectT(g)
+    val (picks, forests) = ForestCfcm.greedy(spark, g, k, cfg)(schurDelta(spark, g, _, t, cfg, _))
     Result(picks, t.toSeq, forests)
   }
 }

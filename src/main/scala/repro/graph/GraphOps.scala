@@ -142,11 +142,12 @@ object GraphOps {
     (order, residualMax)
   }
 
-  /** `|T*|` per Section V-A: the prefix size balancing |T| against the
-    * residual max degree. `residualMax(c-1)` is `d_max` after removing c nodes.
+  /** `T*` per Section V-A: the degree-peel prefix (at most `maxC` nodes)
+    * whose size c balances |T| against the residual max degree.
+    * `residualMax(c-1)` is `d_max` after removing c nodes.
     */
-  def tStar(g: CsrGraph, maxC: Int = 2048): Int = {
-    val (_, residualMax) = degreePeeling(g, math.min(maxC, g.n - 1))
+  def tStar(g: CsrGraph, maxC: Int): Array[Int] = {
+    val (order, residualMax) = degreePeeling(g, math.min(maxC, g.n - 1))
     var best = 1; var bestGap = Long.MaxValue
     var c = 1
     while (c <= residualMax.length) {
@@ -154,6 +155,6 @@ object GraphOps {
       if (gap < bestGap) { bestGap = gap; best = c }
       c += 1
     }
-    best
+    order.take(best)
   }
 }

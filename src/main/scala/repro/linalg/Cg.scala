@@ -32,17 +32,16 @@ object Cg {
 
   /** Solve `L_{-S} x = b` (b must be zero on S) by preconditioned CG.
     *
-    * @param relTol  stop when ||r|| ≤ relTol·||b||
-    * @param maxIter iteration cap (default 10·√n + 200, generous for SDD)
+    * @param relTol stop when ||r|| ≤ relTol·||b||, or after 10·√n + 200
+    *               iterations (generous for SDD)
     * @return solution with zeros on S, plus the iteration count
     */
-  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8,
-            maxIter: Int = -1): (Array[Double], Int) = {
+  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8): (Array[Double], Int) = {
     val n = g.n
     require(s.nonEmpty, "L_{-S} requires non-empty S (L itself is singular)")
     val inS = new Array[Boolean](n)
     s.foreach(inS(_) = true)
-    val cap = if (maxIter > 0) maxIter else 10 * math.sqrt(n.toDouble).toInt + 200
+    val cap = 10 * math.sqrt(n.toDouble).toInt + 200
     val x = new Array[Double](n)
     val r = b.clone()
     var u = 0

@@ -171,25 +171,6 @@ object Dense {
     y
   }
 
-  /** Matrix–matrix product (both n×n). */
-  def matvecMat(a: Array[Double], b: Array[Double], n: Int): Array[Double] = {
-    val c = zeros(n)
-    var i = 0
-    while (i < n) {
-      var t = 0
-      while (t < n) {
-        val f = a(i * n + t)
-        if (f != 0.0) {
-          var j = 0
-          while (j < n) { c(i * n + j) += f * b(t * n + j); j += 1 }
-        }
-        t += 1
-      }
-      i += 1
-    }
-    c
-  }
-
   /** Max absolute difference between two equally sized arrays. */
   def maxAbsDiff(a: Array[Double], b: Array[Double]): Double = {
     var m = 0.0; var i = 0

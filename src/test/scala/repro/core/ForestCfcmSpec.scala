@@ -1,7 +1,9 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.forest.{ForestContext, ForestSampler}
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
+import repro.linalg.Jl
 
 class ForestCfcmSpec extends SparkSpec {
 
@@ -41,6 +43,29 @@ class ForestCfcmSpec extends SparkSpec {
     for ((u, i) <- keep.zipWithIndex) {
       val ex = repro.linalg.Dense.get(inv, keep.length, i, i)
       assert(math.abs(est.den(u) - ex) < math.max(0.25 * ex, 0.15), s"den($u)=${est.den(u)} vs $ex")
+    }
+  }
+
+  test("forestDelta equals Lemma 3.3 computed from the sampler's sums (no Schur term at T = ∅)") {
+    val g = karate
+    val s = Set(0, 33)
+    val iter = 3
+    val est = ForestCfcm.forestDelta(spark, g, s, cfg, iter)
+    // the same phase sampled directly: JL seed seed+7919·iter, forest seed seed+iter, full budget
+    val w = Jl.width(cfg.eps)
+    val ctx = ForestContext(g, s, Jl.materialize(cfg.seed + 7919L * iter, w, g.n), wantDiag = true)
+    val acc = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0), cfg.seed + iter)
+    val cnt = acc.count.toDouble
+    assert(est.forests == acc.count)
+    for (u <- 0 until g.n) {
+      if (s(u)) assert(est.delta(u) == Double.NegativeInfinity)
+      else {
+        val den = acc.diagSum(u) / cnt
+        val num = (0 until w).map { j => val y = acc.phiSum(j * g.n + u) / cnt; y * y }.sum
+        assert(math.abs(est.den(u) - den) < 1e-12, s"den($u)=${est.den(u)} vs $den")
+        assert(math.abs(est.numSq(u) - num) < 1e-12, s"num($u)=${est.numSq(u)} vs $num")
+        assert(math.abs(est.delta(u) - num / den) < 1e-12, s"delta($u)=${est.delta(u)} vs ${num / den}")
+      }
     }
   }
 

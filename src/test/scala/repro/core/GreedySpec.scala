@@ -12,6 +12,15 @@ class GreedySpec extends AnyFunSuite {
     assert(Greedy.argmax(Array(ninf, 7.0), Set(1)) == -1)
   }
 
+  test("firstPick is the argmin of x with x_s ≡ 0, ties to s and then to the lowest id") {
+    // x(s) is ignored: s scores 0 whatever the array holds
+    assert(Greedy.firstPick(Array(1.0, -9.0, 2.0), s = 1) == 1)
+    // no score below 0: s wins, also against a 0 at a lower id
+    assert(Greedy.firstPick(Array(0.0, 3.0, 0.0), s = 2) == 2)
+    // a negative score beats s; equal negatives go to the lowest id
+    assert(Greedy.firstPick(Array(0.5, -1.0, 0.0, -1.0), s = 2) == 1)
+  }
+
   test("run picks first, then the argmax of each iteration's Δ given the picks so far") {
     // Δ(u) = u mod 3, and −∞ on ids below 3 once 5 is picked
     val seen = Seq.newBuilder[(Set[Int], Int)]

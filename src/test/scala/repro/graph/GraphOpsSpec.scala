@@ -87,7 +87,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("tStar balances |T| against the residual max degree") {
     val g = CsrGraph.fromDataFrame(GraphGen.barabasiAlbert(spark, 1000, 3, 7))
-    val c = GraphOps.tStar(g)
+    val c = GraphOps.tStar(g, 2048).length
     val (_, residual) = GraphOps.degreePeeling(g, math.min(2048, g.n - 1))
     val gap = math.abs(c - residual(c - 1))
     // no other prefix does strictly better

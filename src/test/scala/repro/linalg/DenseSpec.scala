@@ -19,6 +19,10 @@ class DenseSpec extends SparkSpec {
     a
   }
 
+  /** Matrix–matrix product (both n×n). */
+  private def matvecMat(a: Array[Double], b: Array[Double], n: Int): Array[Double] =
+    Array.tabulate(n * n)(ij => (0 until n).map(t => a(ij / n * n + t) * b(t * n + ij % n)).sum)
+
   test("a graph beyond the dense limit fails with a clear message before any Spark job") {
     val n = Dense.MaxN + 1 // n² overflows Int
     val path = CsrGraph.fromEdges(n, (0 until n - 1).map(u => (u, u + 1)))
@@ -55,8 +59,8 @@ class DenseSpec extends SparkSpec {
     val n = g.n
     val lap = Dense.laplacian(g)
     val pinv = Dense.pseudoinverse(lap, n)
-    val llp = Dense.matvecMat(lap, pinv, n)
-    val lplpl = Dense.matvecMat(llp, lap, n)
+    val llp = matvecMat(lap, pinv, n)
+    val lplpl = matvecMat(llp, lap, n)
     assert(Dense.maxAbsDiff(lplpl, lap) < 1e-8)
     val ones = Array.fill(n)(1.0)
     val z = Dense.matvec(pinv, n, ones)
