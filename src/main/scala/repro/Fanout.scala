@@ -13,11 +13,11 @@ import org.apache.spark.SparkContext
 object Fanout {
 
   /** Run `task` on each of `slices` slices of `[start, end)` (the slicing of
-    * `sc.range`) as a single `runJob`, then merge the partials on the driver
-    * in slice order, so the result does not depend on which task finishes
-    * first.
+    * `sc.range`) as a single `runJob`, then `add` the partials into the
+    * driver-side `zero` in slice order, so the result does not depend on
+    * which task finishes first.
     */
-  def foldSlices[A: ClassTag](sc: SparkContext, start: Long, end: Long, slices: Int)
-                             (task: Iterator[Long] => A)(merge: (A, A) => A): A =
-    sc.runJob(sc.range(start, end, 1, slices), task).reduceLeft(merge)
+  def foldSlices[P: ClassTag, A](sc: SparkContext, start: Long, end: Long, slices: Int)
+                                (task: Iterator[Long] => P)(zero: A)(add: (A, P) => A): A =
+    sc.runJob(sc.range(start, end, 1, slices), task).foldLeft(zero)(add)
 }

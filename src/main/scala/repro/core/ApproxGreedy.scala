@@ -78,7 +78,7 @@ object ApproxGreedy {
             while (u < gg.n) { val xv = x(u); acc(u) += xv * xv; u += 1 }
           }
           acc
-        } { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a }
+        }(new Array[Double](n)) { (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }; a }
       }
 
       def diagInv(s: Set[Int], jlSeed: Long): Array[Double] = sumSqOfSolves(s, jlSeed, incidenceSide = true)

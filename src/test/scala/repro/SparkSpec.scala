@@ -54,8 +54,10 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // Kryo varint-encodes the samplers' big primitive-array accumulators
-      // (n×|T| rooted-count ints are mostly tiny) — a large win for SCHURCFCM
+      // The serializer perfbench runs with. Kryo writes primitive arrays at
+      // full width (an int[1e6] of zeros takes 4,000,005 bytes), so the
+      // sampler's partial varint-encodes its sparse root counts itself
+      // (ForestPartial)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
