@@ -25,8 +25,7 @@ object ExactGreedy {
     val first = Greedy.argmax(Cfcc.pseudoinverseDiag(g).map(-_), Set.empty)
 
     // Maintain M = L_{-S}^{-1} over `keep`, the ids outside S in ascending order.
-    var keep = (0 until n).filterNot(_ == first).toArray
-    var m = Dense.inverse(Dense.submatrix(Dense.laplacian(g), n, keep), keep.length)
+    var (keep, m) = Dense.submatrixInverse(g, Set(first))
     val traces = scala.collection.mutable.ArrayBuffer(Dense.trace(m, keep.length))
     // Downdate M for the one pick in S still in `keep` (the previous pick).
     def dropPicked(s: Set[Int]): Unit = {

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.CsrGraph
-import repro.linalg.Dense
 
 /** Exhaustive CFCM optimum for tiny graphs (Fig. 1's "OPTIMUM" reference):
   * enumerate every S with |S| = k and minimize `Tr(L_{-S}^{-1})` by dense
@@ -13,16 +12,13 @@ object Exhaustive {
 
   def optimum(g: CsrGraph, k: Int): Result = {
     require(k >= 1 && k <= 4, "exhaustive search is for tiny k only")
-    val lap = Dense.laplacian(g)
     var best: Set[Int] = null
     var bestTrace = Double.PositiveInfinity
     val idx = new Array[Int](k)
 
     def evalSet(): Unit = {
       val s = idx.toSet
-      val keep = (0 until g.n).filterNot(s.contains).toArray
-      val inv = Dense.inverse(Dense.submatrix(lap, g.n, keep), keep.length)
-      val tr = Dense.trace(inv, keep.length)
+      val tr = Cfcc.traceInvExact(g, s)
       if (tr < bestTrace) { bestTrace = tr; best = s }
     }
 

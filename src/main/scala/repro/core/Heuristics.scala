@@ -8,8 +8,8 @@ import repro.graph.{CsrGraph, GraphOps}
 object Heuristics {
 
   /** DEGREE: the k nodes of largest degree (ties by node id). Expressed as a
-    * Catalyst query over the edge DataFrame — tests verify it against DuckDB
-    * via [[repro.Oracle]].
+    * Catalyst query over the edge DataFrame — the tests check it against the
+    * same query run on DuckDB.
     */
   def degreeTopK(edges: DataFrame, k: Int): Seq[Int] =
     degreeTopKDf(edges, k).collect().map(_.getInt(0)).toSeq

@@ -15,7 +15,7 @@ import repro.linalg.{Dense, Jl}
   */
 object SchurCfcm {
 
-  final case class Result(picks: Seq[Int], picksT: Seq[Int], forests: Long)
+  final case class Result(picks: Seq[Int], forests: Long)
 
   /** `d_max(X)` of Table I: max degree in the subgraph after removing X. */
   def residualMaxDegree(g: CsrGraph, removed: Set[Int]): Int = {
@@ -208,6 +208,6 @@ object SchurCfcm {
   def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config): Result = {
     val t = selectT(g)
     val (picks, forests) = ForestCfcm.greedy(spark, g, k, cfg)(schurDelta(spark, g, _, t, cfg, _))
-    Result(picks, t.toSeq, forests)
+    Result(picks, forests)
   }
 }

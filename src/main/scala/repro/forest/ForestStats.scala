@@ -20,7 +20,10 @@ import repro.graph.{CsrGraph, GraphOps}
   * @param bfsOrder  nodes in BFS order from the root set
   * @param sources   `nsrc` weight rows over all n nodes (zero at roots);
   *                  row j yields the estimator of `w_jᵀ L_{-S}^{-1} e_u`
-  * @param wantDiag  estimate the diagonal `(L_{-S}^{-1})_{uu}` too
+  * @param wantDiag  estimate the diagonal `(L_{-S}^{-1})_{uu}` too. Every
+  *                  greedy phase sets it; it stays a flag because the
+  *                  voltage-only estimator tests turn it off, and
+  *                  `perfbench` passes it and reads it back
   * @param tIndex    node → index in T (-1 if not in T); empty array disables
   *                  rooted-at-t counting (non-Schur phases)
   * @param numT      |T|
@@ -89,10 +92,11 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
   val phiSum: Array[Double] = new Array[Double](nsrc * n)
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
-  /** Σ_forests D(u)². No estimator reads it; `perfbench` sizes the
-    * accumulator with it (ROADMAP item 3).
+  /** Always empty: nothing computes Σ_forests D(u)². The member stays only
+    * because `perfbench` sizes the accumulator with its length; it goes at
+    * the next benchmark change.
     */
-  val diagSqSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
+  val diagSqSum: Array[Double] = Array.emptyDoubleArray
   /** Ñ(ρ_u = t), flat n×numT. A task of tens of forests leaves at most that
     * many nonzeros in a row, so it ships them as sparse rows ([[pack]]).
     */
@@ -132,7 +136,7 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
       }
       u += 1
     }
-    new ForestPartial(count, phiSum, diagSum, diagSqSum, rowEnd, rootT, rootN)
+    new ForestPartial(count, phiSum, diagSum, rowEnd, rootT, rootN)
   }
 
   /** Add a partial into these sums, entry by entry. */
@@ -143,7 +147,7 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
     var i = 0
     while (i < phiSum.length) { phiSum(i) += p.phiSum(i); i += 1 }
     i = 0
-    while (i < diagSum.length) { diagSum(i) += p.diagSum(i); diagSqSum(i) += p.diagSqSum(i); i += 1 }
+    while (i < diagSum.length) { diagSum(i) += p.diagSum(i); i += 1 }
     var q = 0
     var u = 0
     while (u < p.rowEnd.length) {
@@ -173,12 +177,12 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
   * `var`s only so that [[read]] can fill them.
   */
 final class ForestPartial(var count: Long, var phiSum: Array[Double], var diagSum: Array[Double],
-                          var diagSqSum: Array[Double], var rowEnd: Array[Int], var rootT: Array[Int],
-                          var rootN: Array[Int]) extends Serializable with KryoSerializable {
+                          var rowEnd: Array[Int], var rootT: Array[Int], var rootN: Array[Int])
+    extends Serializable with KryoSerializable {
 
   override def write(kryo: Kryo, out: Output): Unit = {
     out.writeLong(count)
-    for (a <- Seq(phiSum, diagSum, diagSqSum)) { out.writeVarInt(a.length, true); out.writeDoubles(a) }
+    for (a <- Seq(phiSum, diagSum)) { out.writeVarInt(a.length, true); out.writeDoubles(a) }
     out.writeVarInt(rowEnd.length, true)
     out.writeVarInt(rootT.length, true)
     var prev = 0
@@ -192,7 +196,6 @@ final class ForestPartial(var count: Long, var phiSum: Array[Double], var diagSu
     count = in.readLong()
     phiSum = in.readDoubles(in.readVarInt(true))
     diagSum = in.readDoubles(in.readVarInt(true))
-    diagSqSum = in.readDoubles(in.readVarInt(true))
     rowEnd = new Array[Int](in.readVarInt(true))
     rootT = new Array[Int](in.readVarInt(true))
     rootN = new Array[Int](rootT.length)
@@ -291,7 +294,7 @@ object ForestStats {
 
     // --- diagonal estimates: walk the BFS path of every non-root node
     if (ctx.wantDiag) {
-      val diagSum = acc.diagSum; val diagSqSum = acc.diagSqSum
+      val diagSum = acc.diagSum
       var u = 0
       while (u < n) {
         if (!isRoot(u)) {
@@ -309,7 +312,6 @@ object ForestStats {
             b = bfsParent(a)
           }
           diagSum(u) += d
-          diagSqSum(u) += d.toDouble * d
         }
         u += 1
       }

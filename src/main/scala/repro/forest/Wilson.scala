@@ -61,11 +61,4 @@ object Wilson {
     }
     Forest(parent, order)
   }
-
-  /** Convenience wrapper from a root set. */
-  def sample(g: CsrGraph, roots: Set[Int], rng: java.util.SplittableRandom): Forest = {
-    val isRoot = new Array[Boolean](g.n)
-    roots.foreach(isRoot(_) = true)
-    sample(g, isRoot, roots.size, rng)
-  }
 }

@@ -25,13 +25,6 @@ final class CsrGraph(val n: Int, val off: Array[Int], val adj: Array[Int]) exten
   /** Neighbor `i` (0-based within the adjacency slice) of node `u`. */
   @inline def neighbor(u: Int, i: Int): Int = adj(off(u) + i)
 
-  /** Maximum degree over all nodes. */
-  lazy val maxDegree: Int = {
-    var best = 0; var u = 0
-    while (u < n) { val d = degree(u); if (d > best) best = d; u += 1 }
-    best
-  }
-
   /** A node of maximum degree (smallest id wins ties, so it is deterministic). */
   lazy val maxDegreeNode: Int = {
     var best = 0; var bestD = degree(0); var u = 1

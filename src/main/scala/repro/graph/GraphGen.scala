@@ -120,15 +120,6 @@ object GraphGen {
     right.unionAll(down)
   }
 
-  /** Simple cycle on `n` nodes (diameter ⌊n/2⌋) — a worst-case τ stress. */
-  def ring(spark: SparkSession, n: Int): DataFrame = {
-    val ids = spark.range(n).toDF("id")
-    ids.select(
-      col("id").cast("int").as("src"),
-      ((col("id") + 1) % n).cast("int").as("dst"),
-    ).selectExpr("least(src, dst) as src", "greatest(src, dst) as dst")
-  }
-
   /** Zachary's Karate club (34 nodes, 78 edges) — the one real tiny graph we
     * can embed verbatim; used for the Fig.-1-style optimality comparison.
     */

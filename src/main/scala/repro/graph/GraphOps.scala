@@ -92,15 +92,18 @@ object GraphOps {
     (order, parent)
   }
 
+  /** BFS sweeps of [[diameterEstimate]]. */
+  private final val DiameterSweeps = 4
+
   /** Double-sweep diameter lower bound (exact on trees, near-exact on the
     * graph families used here); the paper reports exact τ — see DESIGN.md.
     */
-  def diameterEstimate(g: CsrGraph, sweeps: Int = 4): Int = {
+  def diameterEstimate(g: CsrGraph): Int = {
     var far = 0
     var best = 0
     var s = 0
     var i = 0
-    while (i < sweeps) {
+    while (i < DiameterSweeps) {
       val d = bfs(g, Seq(s))
       var u = 0; var ecc = 0; far = s
       while (u < g.n) { if (d(u) > ecc) { ecc = d(u); far = u }; u += 1 }
@@ -110,10 +113,6 @@ object GraphOps {
     }
     best
   }
-
-  /** Exact diameter by all-pairs BFS — tiny graphs only. */
-  def diameterExact(g: CsrGraph): Int =
-    (0 until g.n).iterator.map(s => bfs(g, Seq(s)).max).max
 
   /** Residual-degree peeling: repeatedly remove the max-degree node of the
     * remaining graph. Returns the removal order and, for each prefix size c,

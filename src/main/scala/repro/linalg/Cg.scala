@@ -36,7 +36,7 @@ object Cg {
     *               iterations (generous for SDD)
     * @return solution with zeros on S, plus the iteration count
     */
-  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double = 1e-8): (Array[Double], Int) = {
+  def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double): (Array[Double], Int) = {
     val n = g.n
     require(s.nonEmpty, "L_{-S} requires non-empty S (L itself is singular)")
     val inS = new Array[Boolean](n)

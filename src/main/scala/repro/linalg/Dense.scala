@@ -157,24 +157,4 @@ object Dense {
     while (i < n) { val v = a(i * n + j); s += v * v; i += 1 }
     s
   }
-
-  /** Matrix–vector product. */
-  def matvec(a: Array[Double], n: Int, x: Array[Double]): Array[Double] = {
-    val y = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var s = 0.0; var j = 0; val row = i * n
-      while (j < n) { s += a(row + j) * x(j); j += 1 }
-      y(i) = s
-      i += 1
-    }
-    y
-  }
-
-  /** Max absolute difference between two equally sized arrays. */
-  def maxAbsDiff(a: Array[Double], b: Array[Double]): Double = {
-    var m = 0.0; var i = 0
-    while (i < a.length) { val d = math.abs(a(i) - b(i)); if (d > m) m = d; i += 1 }
-    m
-  }
 }

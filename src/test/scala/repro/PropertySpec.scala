@@ -1,8 +1,8 @@
 package repro
 
 import repro.graph.{CsrGraph, GraphOps}
-import repro.forest.Wilson
 import repro.linalg.Dense
+import repro.TestKit.{maxAbsDiff, sampleForest}
 
 /** Property-style suites over randomized connected graphs (deterministic
   * seed sweep): structural invariants that must hold for *every* input, not
@@ -48,7 +48,7 @@ class PropertySpec extends SparkSpec {
       val g = randomConnected(3000 + t)
       val rng = new java.util.SplittableRandom(t)
       val root = rng.nextInt(g.n)
-      val f = Wilson.sample(g, Set(root), rng)
+      val f = sampleForest(g, Set(root), rng)
       for (u <- 0 until g.n if u != root) {
         var x = u; var steps = 0
         while (x != root && steps <= g.n) { x = f.parent(x); steps += 1 }
@@ -114,7 +114,7 @@ class PropertySpec extends SparkSpec {
         val down = Dense.downdate(m, keep.length, victim)
         val keep2 = keep.patch(victim, Nil, 1)
         val fresh = Dense.inverse(Dense.submatrix(lap, g.n, keep2), keep2.length)
-        assert(Dense.maxAbsDiff(down, fresh) < 1e-7, s"trial $t")
+        assert(maxAbsDiff(down, fresh) < 1e-7, s"trial $t")
       }
     }
   }

@@ -1,8 +1,10 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import repro.forest.Wilson
+import repro.graph.{CsrGraph, GraphOps}
 
 /** DuckDB correctness oracle.
   *
@@ -73,5 +75,42 @@ object Oracle {
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
     } finally conn.close()
+  }
+}
+
+/** Test-side helpers over the program's types: reference computations and
+  * inputs that only the tests need.
+  */
+object TestKit {
+
+  /** Simple cycle on `n` nodes (diameter ⌊n/2⌋) — a worst-case τ stress. */
+  def ring(spark: SparkSession, n: Int): DataFrame = {
+    val ids = spark.range(n).toDF("id")
+    ids.select(
+      col("id").cast("int").as("src"),
+      ((col("id") + 1) % n).cast("int").as("dst"),
+    ).selectExpr("least(src, dst) as src", "greatest(src, dst) as dst")
+  }
+
+  /** Exact diameter by all-pairs BFS — tiny graphs only. */
+  def diameterExact(g: CsrGraph): Int =
+    (0 until g.n).iterator.map(s => GraphOps.bfs(g, Seq(s)).max).max
+
+  /** Maximum degree over all nodes. */
+  def maxDegree(g: CsrGraph): Int = (0 until g.n).map(g.degree).max
+
+  /** Dense n×n matrix–vector product. */
+  def matvec(a: Array[Double], n: Int, x: Array[Double]): Array[Double] =
+    Array.tabulate(n)(i => (0 until n).map(j => a(i * n + j) * x(j)).sum)
+
+  /** Max absolute difference between two equally sized arrays. */
+  def maxAbsDiff(a: Array[Double], b: Array[Double]): Double =
+    a.indices.map(i => math.abs(a(i) - b(i))).foldLeft(0.0)(math.max)
+
+  /** A Wilson forest rooted at the set `roots`. */
+  def sampleForest(g: CsrGraph, roots: Set[Int], rng: java.util.SplittableRandom): Wilson.Forest = {
+    val isRoot = new Array[Boolean](g.n)
+    roots.foreach(isRoot(_) = true)
+    Wilson.sample(g, isRoot, roots.size, rng)
   }
 }

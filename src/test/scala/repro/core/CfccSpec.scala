@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.TestKit.maxDegree
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 import repro.linalg.Dense
 
@@ -67,7 +68,7 @@ class CfccSpec extends SparkSpec {
     val diag = Cfcc.pseudoinverseDiag(g)
     // all diagonal entries of L† on a connected graph satisfy the known lower
     // bound d_max^{-1}(1−1/n)² (Theorem 3.11's proof)
-    val lb = (1.0 - 1.0 / g.n) * (1.0 - 1.0 / g.n) / g.maxDegree
+    val lb = (1.0 - 1.0 / g.n) * (1.0 - 1.0 / g.n) / maxDegree(g)
     diag.foreach(d => assert(d >= lb - 1e-12))
   }
 

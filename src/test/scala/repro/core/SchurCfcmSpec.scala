@@ -1,8 +1,9 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.forest.{ForestContext, ForestSampler}
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
-import repro.linalg.Dense
+import repro.linalg.{Dense, Jl}
 
 class SchurCfcmSpec extends SparkSpec {
 
@@ -81,6 +82,56 @@ class SchurCfcmSpec extends SparkSpec {
     }
     val pick = exact.keys.maxBy(est.delta)
     assert(exact(pick) >= 0.8 * exact.values.max)
+  }
+
+  test("assemble equals Eq. (11)/(15) computed densely from the sampler's sums") {
+    val g = karate
+    val s = Set(13)
+    val tList = SchurCfcm.selectT(g).filterNot(s.contains)
+    val (eps, budget, seed, jlSeed) = (0.3, 400L, 5L, 17L)
+    val est = SchurCfcm.assemble(spark, g, s, tList, eps, budget, seed, jlSeed)
+    // the same phase sampled directly, then every block of Eq. (11) dense
+    val n = g.n; val nt = tList.length; val w = Jl.width(eps)
+    val jl = Jl.materialize(jlSeed, w, n)
+    val ctx = ForestContext(g, s ++ tList, jl, wantDiag = true, tList)
+    val acc = ForestSampler.run(spark, ctx, budget, seed)
+    val cnt = acc.count.toDouble
+    assert(nt > 0 && est.forests == acc.count)
+    val u = (0 until n).filterNot(ctx.isRoot).toArray
+    val lap = Dense.laplacian(g)
+    // F̃ (|U|×|T|): the rooted-at-t probabilities of Lemma 4.2
+    val f = Array.tabulate(u.length, nt)((i, t) => acc.rootCnt(u(i) * nt + t) / cnt)
+    assert(f.exists(_.exists(_ > 0.0)))
+    // S̃ = L_TT + L_TU·F̃ (Eq. 15)
+    val schur = Array.tabulate(nt * nt) { idx =>
+      val (r, c) = (idx / nt, idx % nt)
+      Dense.get(lap, n, tList(r), tList(c)) + u.indices.map(i => Dense.get(lap, n, tList(r), u(i)) * f(i)(c)).sum
+    }
+    val sInv = Dense.inverse(schur, nt)
+    // A = (W·F̃ + Q)·S̃⁻¹: W the JL rows on U, Q the JL rows on T
+    val wfq = Array.tabulate(w, nt)((j, r) => jl(j)(tList(r)) + u.indices.map(i => jl(j)(u(i)) * f(i)(r)).sum)
+    val a = Array.tabulate(w, nt)((j, c) => (0 until nt).map(r => wfq(j)(r) * sInv(r * nt + c)).sum)
+    // z and the columns of Y: U rows through F̃, T rows straight from S̃⁻¹ and A
+    val z = new Array[Double](n)
+    val y = Array.ofDim[Double](w, n)
+    for ((v, i) <- u.zipWithIndex) {
+      z(v) = acc.diagSum(v) / cnt +
+        (for (p <- 0 until nt; q <- 0 until nt) yield f(i)(p) * sInv(p * nt + q) * f(i)(q)).sum
+      for (j <- 0 until w) y(j)(v) = acc.phiSum(j * n + v) / cnt + (0 until nt).map(t => a(j)(t) * f(i)(t)).sum
+    }
+    for ((t, c) <- tList.zipWithIndex) {
+      z(t) = sInv(c * nt + c)
+      for (j <- 0 until w) y(j)(t) = a(j)(c)
+    }
+    for (v <- 0 until n) {
+      if (s(v)) assert(est.delta(v) == Double.NegativeInfinity)
+      else {
+        val num = (0 until w).map(j => y(j)(v) * y(j)(v)).sum
+        assert(math.abs(est.den(v) - z(v)) < 1e-12, s"den($v)=${est.den(v)} vs ${z(v)}")
+        assert(math.abs(est.numSq(v) - num) < 1e-12, s"num($v)=${est.numSq(v)} vs $num")
+        assert(math.abs(est.delta(v) - num / z(v)) < 1e-12, s"delta($v)=${est.delta(v)} vs ${num / z(v)}")
+      }
+    }
   }
 
   test("schurDelta falls back to forestDelta when T ⊆ S") {

@@ -70,7 +70,6 @@ class ForestStatsSpec extends SparkSpec {
         a = b
       }
       acc.diagSum(u) += d
-      acc.diagSqSum(u) += d.toDouble * d
     }
     for (j <- 0 until ctx.nsrc) {
       val phi = new Array[Double](n)
@@ -95,7 +94,6 @@ class ForestStatsSpec extends SparkSpec {
     assert(a.count == b.count, what)
     assert(java.util.Arrays.equals(a.phiSum, b.phiSum), s"$what: phiSum")
     assert(java.util.Arrays.equals(a.diagSum, b.diagSum), s"$what: diagSum")
-    assert(java.util.Arrays.equals(a.diagSqSum, b.diagSqSum), s"$what: diagSqSum")
     assert(java.util.Arrays.equals(a.rootCnt, b.rootCnt), s"$what: rootCnt")
   }
 
@@ -154,7 +152,7 @@ class ForestStatsSpec extends SparkSpec {
       val a = foldRange(ctx, seed, i * forests / slices, (i + 1) * forests / slices)
       local.count += a.count
       for (x <- local.phiSum.indices) local.phiSum(x) += a.phiSum(x)
-      for (x <- local.diagSum.indices) { local.diagSum(x) += a.diagSum(x); local.diagSqSum(x) += a.diagSqSum(x) }
+      for (x <- local.diagSum.indices) local.diagSum(x) += a.diagSum(x)
       for (x <- local.rootCnt.indices) local.rootCnt(x) += a.rootCnt(x)
     }
     assertSame(viaSpark, local, "ForestSampler.run vs local folds")
@@ -167,5 +165,15 @@ class ForestStatsSpec extends SparkSpec {
     val packed = kryo.serialize(acc.pack).remaining()
     val dense = kryo.serialize(acc).remaining()
     assert(packed < dense / 2, s"packed $packed B, dense $dense B (|T| = ${ctx.numT})")
+  }
+
+  test("a Kryo-serialized partial without T carries only the φ and diagonal sums") {
+    val ctx = ForestContext(grid, Set(0, 1023), Jl.materialize(17, 3, grid.n), wantDiag = true)
+    val acc = foldRange(ctx, 5, 0, 8)
+    val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
+    val bytes = kryo.serialize(acc.pack).remaining()
+    // the nsrc·n + n doubles, plus 64 bytes for the count, lengths and class tag
+    val bound = 8 * (ctx.nsrc * ctx.n + ctx.n) + 64
+    assert(bytes < bound, s"$bytes B, bound $bound B")
   }
 }

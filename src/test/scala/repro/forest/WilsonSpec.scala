@@ -1,6 +1,7 @@
 package repro.forest
 
 import repro.SparkSpec
+import repro.TestKit.sampleForest
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 import repro.linalg.Dense
 
@@ -30,21 +31,21 @@ class WilsonSpec extends SparkSpec {
   for (seed <- 0 until 10) {
     test(s"sampled forest is valid on karate, roots={0}, seed=$seed") {
       val rng = new java.util.SplittableRandom(seed)
-      checkForestValid(karate, Set(0), Wilson.sample(karate, Set(0), rng))
+      checkForestValid(karate, Set(0), sampleForest(karate, Set(0), rng))
     }
   }
 
   for (roots <- Seq(Set(0, 33), Set(1, 2, 3, 4), Set(5))) {
     test(s"sampled forest is valid on karate with roots=$roots") {
       val rng = new java.util.SplittableRandom(77)
-      for (_ <- 0 until 5) checkForestValid(karate, roots, Wilson.sample(karate, roots, rng))
+      for (_ <- 0 until 5) checkForestValid(karate, roots, sampleForest(karate, roots, rng))
     }
   }
 
   test("sampled forest is valid on a grid with multiple roots") {
     val g = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 9, 9))
     val rng = new java.util.SplittableRandom(5)
-    for (_ <- 0 until 5) checkForestValid(g, Set(0, 40, 80), Wilson.sample(g, Set(0, 40, 80), rng))
+    for (_ <- 0 until 5) checkForestValid(g, Set(0, 40, 80), sampleForest(g, Set(0, 40, 80), rng))
   }
 
   test("forest distribution on C4 with one root matches the uniform spanning tree law") {
@@ -57,7 +58,7 @@ class WilsonSpec extends SparkSpec {
     var p2is1 = 0
     val treeCount = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
     for (_ <- 0 until trials) {
-      val f = Wilson.sample(g, Set(0), rng)
+      val f = sampleForest(g, Set(0), rng)
       if (f.parent(2) == 1) p2is1 += 1
       val sig = (1 to 3).map(f.parent).mkString(",")
       treeCount(sig) += 1
@@ -88,7 +89,7 @@ class WilsonSpec extends SparkSpec {
     val trials = 20000
     val counts = Array.ofDim[Int](g.n, t.length)
     for (_ <- 0 until trials) {
-      val f = Wilson.sample(g, roots, rng)
+      val f = sampleForest(g, roots, rng)
       val rootOf = new Array[Int](g.n)
       for (k <- f.order.indices.reverse) {
         val u = f.order(k); val p = f.parent(u)
@@ -104,7 +105,7 @@ class WilsonSpec extends SparkSpec {
 
   test("wrapper with Set roots equals array-based sampling for the same seed") {
     val g = karate
-    val f1 = Wilson.sample(g, Set(3, 8), new java.util.SplittableRandom(42))
+    val f1 = sampleForest(g, Set(3, 8), new java.util.SplittableRandom(42))
     val isRoot = new Array[Boolean](g.n); isRoot(3) = true; isRoot(8) = true
     val f2 = Wilson.sample(g, isRoot, 2, new java.util.SplittableRandom(42))
     assert(f1.parent.toSeq == f2.parent.toSeq && f1.order.toSeq == f2.order.toSeq)

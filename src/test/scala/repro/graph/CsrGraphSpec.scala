@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestKit.maxDegree
 
 class CsrGraphSpec extends AnyFunSuite {
 
@@ -29,7 +30,7 @@ class CsrGraphSpec extends AnyFunSuite {
 
   test("maxDegree and maxDegreeNode") {
     val g = CsrGraph.fromEdges(5, Seq((0, 1), (0, 2), (0, 3), (1, 2), (3, 4)))
-    assert(g.maxDegree == 3)
+    assert(maxDegree(g) == 3)
     assert(g.maxDegreeNode == 0)
   }
 

@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.TestKit.{diameterExact, maxDegree, ring}
 
 class GraphGenSpec extends SparkSpec {
 
@@ -20,7 +21,7 @@ class GraphGenSpec extends SparkSpec {
     val g = CsrGraph.fromDataFrame(df)
     assert(g.n == 34 && g.m == 78)
     assert(GraphOps.bfs(g, Seq(0)).forall(_ >= 0))
-    assert(g.maxDegree == 17)          // node 34 (id 33) has degree 17
+    assert(maxDegree(g) == 17)          // node 34 (id 33) has degree 17
     assert(g.degree(0) == 16)          // node 1 (id 0) has degree 16
   }
 
@@ -43,7 +44,7 @@ class GraphGenSpec extends SparkSpec {
     ("barabasiAlbert", 500, () => GraphGen.barabasiAlbert(spark, 500, 3, 7)),
     ("wattsStrogatz", 400, () => GraphGen.wattsStrogatz(spark, 400, 3, 0.1, 11)),
     ("grid2d", 100, () => GraphGen.grid2d(spark, 10, 10)),
-    ("ring", 60, () => GraphGen.ring(spark, 60)),
+    ("ring", 60, () => ring(spark, 60)),
   )) {
     test(s"$name: simple, undirected, connected, expected size") {
       val df = mk()
@@ -63,7 +64,7 @@ class GraphGenSpec extends SparkSpec {
   test("barabasiAlbert has a heavy tail: hub degree far above the mean") {
     val g = CsrGraph.fromDataFrame(GraphGen.barabasiAlbert(spark, 2000, 3, 7))
     val mean = 2.0 * g.m / g.n
-    assert(g.maxDegree > 5 * mean, s"max=${g.maxDegree} mean=$mean")
+    assert(maxDegree(g) > 5 * mean, s"max=${maxDegree(g)} mean=$mean")
   }
 
   test("grid2d edge count is rows*(cols-1) + (rows-1)*cols") {
@@ -100,7 +101,7 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("ring diameter is n/2") {
-    val g = CsrGraph.fromDataFrame(GraphGen.ring(spark, 40))
-    assert(GraphOps.diameterExact(g) == 20)
+    val g = CsrGraph.fromDataFrame(ring(spark, 40))
+    assert(diameterExact(g) == 20)
   }
 }

@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.SparkSpec
+import repro.TestKit.{diameterExact, maxDegree}
 
 class GraphOpsSpec extends SparkSpec {
 
@@ -44,14 +45,14 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("diameterExact on known graphs") {
-    assert(GraphOps.diameterExact(karate) == 5)
+    assert(diameterExact(karate) == 5)
     val grid = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 4, 6))
-    assert(GraphOps.diameterExact(grid) == 3 + 5)
+    assert(diameterExact(grid) == 3 + 5)
   }
 
   test("diameterEstimate is a lower bound and exact on grids/rings") {
     val grid = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 5, 7))
-    assert(GraphOps.diameterEstimate(grid) == GraphOps.diameterExact(grid))
+    assert(GraphOps.diameterEstimate(grid) == diameterExact(grid))
     val karateEst = GraphOps.diameterEstimate(karate)
     assert(karateEst <= 5 && karateEst >= 4)
   }
@@ -82,7 +83,7 @@ class GraphOpsSpec extends SparkSpec {
     assert(order(0) == g.maxDegreeNode)
     assert(order.distinct.length == order.length)
     for (i <- 1 until residual.length) assert(residual(i) <= residual(i - 1) + 0) // non-increasing-ish
-    assert(residual.last <= g.maxDegree)
+    assert(residual.last <= maxDegree(g))
   }
 
   test("tStar balances |T| against the residual max degree") {

@@ -3,6 +3,7 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 import repro.SparkSpec
+import repro.TestKit.{matvec, maxAbsDiff}
 
 class DenseSpec extends SparkSpec {
 
@@ -61,9 +62,9 @@ class DenseSpec extends SparkSpec {
     val pinv = Dense.pseudoinverse(lap, n)
     val llp = matvecMat(lap, pinv, n)
     val lplpl = matvecMat(llp, lap, n)
-    assert(Dense.maxAbsDiff(lplpl, lap) < 1e-8)
+    assert(maxAbsDiff(lplpl, lap) < 1e-8)
     val ones = Array.fill(n)(1.0)
-    val z = Dense.matvec(pinv, n, ones)
+    val z = matvec(pinv, n, ones)
     assert(z.map(math.abs).max < 1e-8)
   }
 
@@ -94,7 +95,7 @@ class DenseSpec extends SparkSpec {
       m = Dense.downdate(m, keep.length, pos)
       keep = keep.patch(pos, Nil, 1)
       val fresh = Dense.inverse(Dense.submatrix(lap, n, keep), keep.length)
-      assert(Dense.maxAbsDiff(m, fresh) < 1e-8, s"after removing $victimNode")
+      assert(maxAbsDiff(m, fresh) < 1e-8, s"after removing $victimNode")
     }
   }
 
