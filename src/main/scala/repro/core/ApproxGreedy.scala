@@ -37,7 +37,8 @@ object ApproxGreedy {
   private final val CgTol = 1e-6
 
   def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234): Result = {
-    require(k >= 1 && k < g.n)
+    Greedy.requireK(k, g.n)
+    g.requireNoIsolatedNode()
     val n = g.n
     val w = width(eps, n)
     val sc = spark.sparkContext

@@ -19,7 +19,8 @@ object ExactGreedy {
   final case class Result(picks: Seq[Int], traces: Seq[Double])
 
   def run(g: CsrGraph, k: Int): Result = {
-    require(k >= 1 && k < g.n)
+    Greedy.requireK(k, g.n)
+    g.requireNoIsolatedNode()
     val n = g.n
     // First pick: argmin of diag(L†) — Eq. (4) — ties to the lowest id.
     val first = Greedy.argmax(Cfcc.pseudoinverseDiag(g).map(-_), Set.empty)

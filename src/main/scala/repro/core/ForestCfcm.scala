@@ -73,7 +73,7 @@ object ForestCfcm {
     */
   private[core] def greedy(spark: SparkSession, g: CsrGraph, k: Int, cfg: Config)
                           (delta: (Set[Int], Int) => DeltaEstimates): (Seq[Int], Long) = {
-    require(k >= 1 && k < g.n)
+    Greedy.requireK(k, g.n)
     val (first, f0) = firstPick(spark, g, cfg)
     var forests = f0
     val picks = Greedy.run(k, first) { (s, i) =>

@@ -21,6 +21,12 @@ object Greedy {
     picked.toSeq
   }
 
+  /** Fail unless `k` picks fit an n-node graph: 1 ≤ k < n, since S must
+    * leave at least one node outside it.
+    */
+  def requireK(k: Int, n: Int): Unit =
+    require(k >= 1 && k < n, s"k = $k picks need 1 ≤ k < n = $n")
+
   /** First pick from Lemma 3.5 scores `x` taken around a reference node s,
     * whose own score is `x_s ≡ 0` whatever `x(s)` holds: the argmin of x,
     * ties to s and then to the lowest id.

@@ -81,6 +81,7 @@ object SchurCfcm {
     val ctx = ForestContext(g, s ++ tList, sources, wantDiag = true, tList)
     val acc = ForestSampler.run(spark, ctx, budget, seed)
     val cnt = acc.count.toDouble
+    val rootCnt = acc.rootCnt
 
     // F̃ rows (rooted probabilities) as sparse (tIndex, prob) pairs per u ∈ U.
     // Assembly loops below are embarrassingly parallel over nodes — run them
@@ -91,11 +92,11 @@ object SchurCfcm {
       if (!ctx.isRoot(u)) {
         var nnz = 0
         var t = 0
-        while (t < nt) { if (acc.rootCnt(u * nt + t) > 0) nnz += 1; t += 1 }
+        while (t < nt) { if (rootCnt(u * nt + t) > 0) nnz += 1; t += 1 }
         val ii = new Array[Int](nnz); val vv = new Array[Double](nnz)
         var p = 0; t = 0
         while (t < nt) {
-          val c0 = acc.rootCnt(u * nt + t)
+          val c0 = rootCnt(u * nt + t)
           if (c0 > 0) { ii(p) = t; vv(p) = c0 / cnt; p += 1 }
           t += 1
         }

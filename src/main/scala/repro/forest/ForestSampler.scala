@@ -10,7 +10,7 @@ import repro.Fanout
   * ([[Fanout.foldSlices]]) per sampling phase over slices of the forest
   * indices against a broadcast [[ForestContext]]; every slice folds its
   * forests into one [[ForestAcc]] and ships it packed ([[ForestPartial]]:
-  * root counts as sparse rows), and the driver adds the partials into one
+  * one root row per forest), and the driver adds the partials into one
   * accumulator in slice order. The paper's empirical-Bernstein stop
   * (Lemma 3.6) is not applied: at the practical budget it never fired
   * (DESIGN.md), so every phase samples its whole budget.

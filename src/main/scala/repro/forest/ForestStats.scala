@@ -51,10 +51,7 @@ object ForestContext {
     */
   def apply(g: CsrGraph, roots: Set[Int], sources: Array[Array[Double]],
             wantDiag: Boolean, tList: Array[Int] = Array.empty): ForestContext = {
-    val isolated = (0 until g.n).find(g.degree(_) == 0)
-    require(isolated.isEmpty,
-      s"node ${isolated.get} of ${g.n} has degree 0: node ids must be dense (0 until n, no gaps); " +
-      "GraphOps.largestComponent relabels an edge list that way")
+    g.requireNoIsolatedNode()
     val isRoot = new Array[Boolean](g.n)
     roots.foreach(isRoot(_) = true)
     val (order, parent) = GraphOps.bfsTree(g, roots.toSeq.sorted)
@@ -80,13 +77,17 @@ object ForestContext {
   *  - `D(u)`: the diagonal estimate `Φ̄_{u,S}(u)` — BFS-path integration of
   *    `1{π_a = b ∧ u ∈ subtree(a)} − 1{π_b = a ∧ u ∈ subtree(b)}` with O(1)
   *    preorder-interval ancestor tests;
-  *  - rooted-at-`t` counts `Ñ(ρ_u = t)` for the Schur variant (Lemma 4.2).
+  *  - for the Schur variant, one root row: the T index of every node's tree
+  *    root, from which the rooted-at-`t` counts `Ñ(ρ_u = t)` (Lemma 4.2)
+  *    follow.
   *
-  * A sampling task ships its sums as a [[ForestPartial]] ([[pack]]); the
-  * driver [[add]]s the partials into one accumulator in slice order.
+  * A sampling task ships its sums and root rows as a [[ForestPartial]]
+  * ([[pack]]); the driver [[add]]s the partials into one accumulator in slice
+  * order, counting their rows into the dense [[rootCnt]].
   */
 final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
     extends Serializable {
+  require(numT <= Short.MaxValue, s"|T| = $numT does not fit a Short root row")
   var count: Long = 0L
   /** Σ_forests φ_j(u), flat nsrc×n, j-major (`j·n + u`). */
   val phiSum: Array[Double] = new Array[Double](nsrc * n)
@@ -97,65 +98,94 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
     * the next benchmark change.
     */
   val diagSqSum: Array[Double] = Array.emptyDoubleArray
-  /** Ñ(ρ_u = t), flat n×numT. A task of tens of forests leaves at most that
-    * many nonzeros in a row, so it ships them as sparse rows ([[pack]]).
+  /** The root rows of the forests folded here, n entries each, forest-major:
+    * the T index of u's tree root, −1 at a root node and for a tree rooted in
+    * S. The first `rowsLen` entries are used; none when |T| = 0.
     */
-  val rootCnt: Array[Int] = if (numT > 0) new Array[Int](n * numT) else Array.emptyIntArray
+  private var rows: Array[Short] = Array.emptyShortArray
+  private var rowsLen = 0
+  /** Dense Ñ(ρ_u = t), flat n×numT; allocated on the first [[add]] of rows or
+    * read of [[rootCnt]], so a sampling task never holds it.
+    */
+  private var counts: Array[Int] = null
+  /** Entries of `rows` already counted into `counts`. */
+  private var counted = 0
+  /** Whether partials' rows were counted into `counts`, which `rows` then no
+    * longer describe.
+    */
+  private var addedRows = false
 
-  /** The wire form of these sums: the dense arrays shared, the root counts
-    * as sparse rows.
-    */
-  def pack: ForestPartial = {
-    // Counts are ≥ 0, so (-c) >>> 31 is 1 exactly when c ≠ 0: both passes
-    // run without a data-dependent branch per entry.
-    val rowEnd = if (numT > 0) new Array[Int](n) else Array.emptyIntArray
-    var nnz = 0
-    var u = 0
-    while (u < rowEnd.length) {
-      val off = u * numT
-      var t = 0
-      while (t < numT) { nnz += (-rootCnt(off + t)) >>> 31; t += 1 }
-      rowEnd(u) = nnz
-      u += 1
-    }
-    val rootT = new Array[Int](nnz)
-    val rootN = new Array[Int](nnz)
-    var q = 0
-    u = 0
-    while (u < rowEnd.length) {
-      // every entry is written at q, which only moves past nonzeros; the row
-      // stops at its last nonzero, so q never passes the row's end
-      val off = u * numT
-      val end = rowEnd(u)
-      var t = 0
-      while (q < end) {
-        val c = rootCnt(off + t)
-        rootT(q) = t; rootN(q) = c
-        q += (-c) >>> 31
-        t += 1
-      }
-      u += 1
-    }
-    new ForestPartial(count, phiSum, diagSum, rowEnd, rootT, rootN)
+  /** Room for one more root row; returns its offset into [[rowBuf]]. */
+  private[forest] def appendRow(): Int = {
+    val need = rowsLen.toLong + n
+    require(need <= ForestAcc.MaxRowEntries, s"more than ${ForestAcc.MaxRowEntries / n} forests in one accumulator")
+    if (need > rows.length)
+      rows = java.util.Arrays.copyOf(rows, math.min(ForestAcc.MaxRowEntries, math.max(need, 2L * rows.length)).toInt)
+    val off = rowsLen
+    rowsLen += n
+    off
   }
 
-  /** Add a partial into these sums, entry by entry. */
+  private[forest] def rowBuf: Array[Short] = rows
+
+  /** Ñ(ρ_u = t), flat n×numT (`u·numT + t`): the added partials' rows and
+    * this accumulator's own rows, counted. Reading it counts the own rows
+    * folded since the last read.
+    */
+  def rootCnt: Array[Int] =
+    if (numT == 0) Array.emptyIntArray
+    else {
+      if (counted < rowsLen) { countRows(rows, counted, rowsLen); counted = rowsLen }
+      dense
+    }
+
+  private def dense: Array[Int] = {
+    if (counts == null) counts = new Array[Int](n * numT)
+    counts
+  }
+
+  /** Count the rows in `r(from until until)` into the dense counts, node by
+    * node, so that each node's counts are touched once per call. This runs
+    * on the driver, after the tasks: blocks of nodes go to all cores (the
+    * writes are per-node disjoint, and integer counts do not depend on the
+    * order).
+    */
+  private def countRows(r: Array[Short], from: Int, until: Int): Unit = {
+    val c = dense
+    java.util.stream.IntStream.range(0, (n + ForestAcc.CountBlock - 1) / ForestAcc.CountBlock).parallel().forEach { b =>
+      var u = b * ForestAcc.CountBlock
+      val end = math.min(n, u + ForestAcc.CountBlock)
+      while (u < end) {
+        val cu = u * numT
+        var i = from + u
+        while (i < until) { val t = r(i); if (t >= 0) c(cu + t) += 1; i += n }
+        u += 1
+      }
+    }
+  }
+
+  /** The wire form of these sums: the dense sums and this accumulator's own
+    * root rows, shared, not copied.
+    */
+  def pack: ForestPartial = {
+    require(!addedRows, "pack ships the root rows this accumulator folded; it cannot ship root counts " +
+      "added from partials (add or merge) as rows")
+    if (rows.length != rowsLen) rows = java.util.Arrays.copyOf(rows, rowsLen)
+    new ForestPartial(count, phiSum, diagSum, rows)
+  }
+
+  /** Add a partial into these sums, entry by entry; its root rows are counted
+    * into [[rootCnt]], not kept.
+    */
   def add(p: ForestPartial): ForestAcc = {
     require(p.phiSum.length == phiSum.length && p.diagSum.length == diagSum.length &&
-            p.rowEnd.length == (if (numT > 0) n else 0), "partial of another shape")
+            p.rows.length.toLong == (if (numT > 0) p.count * n else 0L), "partial of another shape")
     count += p.count
     var i = 0
     while (i < phiSum.length) { phiSum(i) += p.phiSum(i); i += 1 }
     i = 0
     while (i < diagSum.length) { diagSum(i) += p.diagSum(i); i += 1 }
-    var q = 0
-    var u = 0
-    while (u < p.rowEnd.length) {
-      val off = u * numT
-      val end = p.rowEnd(u)
-      while (q < end) { rootCnt(off + p.rootT(q)) += p.rootN(q); q += 1 }
-      u += 1
-    }
+    if (p.rows.nonEmpty) { countRows(p.rows, 0, p.rows.length); addedRows = true }
     this
   }
 
@@ -165,45 +195,53 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
   def merge(o: ForestAcc): ForestAcc = add(o.pack)
 }
 
-/** A [[ForestAcc]] as a sampling task ships it: the dense sums, and the
-  * n×|T| root counts as sparse rows. Row u's nonzeros are entries
-  * `rowEnd(u−1) until rowEnd(u)` of `rootT` (T index, ascending) and
-  * `rootN` (count). `rowEnd` is empty when |T| = 0.
+object ForestAcc {
+  /** Root-row entries one accumulator can hold (the JVM's array limit). */
+  private val MaxRowEntries = Int.MaxValue - 8L
+  /** Nodes per parallel block when root rows are counted. */
+  private val CountBlock = 1024
+}
+
+/** A [[ForestAcc]] as a sampling task ships it: the count, the φ and diagonal
+  * sums, and the root rows (`count·n` entries, none when |T| = 0).
   *
-  * Kryo writes an `int[]` at 4 bytes an entry (Spark's unsafe Kryo output
-  * even when asked for varints), so [[write]] sends the sparse rows one
-  * varint at a time: T indices below 128, counts below 128 and row lengths
-  * (`rowEnd` differences) below 128 take one byte each. The fields are
-  * `var`s only so that [[read]] can fill them.
+  * Kryo writes primitive arrays at full width (Spark's unsafe Kryo output
+  * even when asked for varints), so [[write]] sends the integer-valued parts
+  * one varint at a time: each diagonal sum, an integer within a task, zigzag
+  * encoded, and each root-row entry as `t + 1`, one byte while |T| < 128. The
+  * fields are `var`s only so that [[read]] can fill them.
   */
 final class ForestPartial(var count: Long, var phiSum: Array[Double], var diagSum: Array[Double],
-                          var rowEnd: Array[Int], var rootT: Array[Int], var rootN: Array[Int])
+                          var rows: Array[Short])
     extends Serializable with KryoSerializable {
 
   override def write(kryo: Kryo, out: Output): Unit = {
     out.writeLong(count)
-    for (a <- Seq(phiSum, diagSum)) { out.writeVarInt(a.length, true); out.writeDoubles(a) }
-    out.writeVarInt(rowEnd.length, true)
-    out.writeVarInt(rootT.length, true)
-    var prev = 0
+    out.writeVarInt(phiSum.length, true)
+    out.writeDoubles(phiSum)
+    out.writeVarInt(diagSum.length, true)
     var i = 0
-    while (i < rowEnd.length) { out.writeVarInt(rowEnd(i) - prev, true); prev = rowEnd(i); i += 1 }
+    while (i < diagSum.length) {
+      val d = diagSum(i)
+      val l = d.toLong
+      require(l == d, s"diagonal sum $d of node $i is not an integer")
+      out.writeVarLong(l, false)
+      i += 1
+    }
+    out.writeVarInt(rows.length, true)
     i = 0
-    while (i < rootT.length) { out.writeVarInt(rootT(i), true); out.writeVarInt(rootN(i), true); i += 1 }
+    while (i < rows.length) { out.writeVarInt(rows(i) + 1, true); i += 1 }
   }
 
   override def read(kryo: Kryo, in: Input): Unit = {
     count = in.readLong()
     phiSum = in.readDoubles(in.readVarInt(true))
-    diagSum = in.readDoubles(in.readVarInt(true))
-    rowEnd = new Array[Int](in.readVarInt(true))
-    rootT = new Array[Int](in.readVarInt(true))
-    rootN = new Array[Int](rootT.length)
-    var end = 0
+    diagSum = new Array[Double](in.readVarInt(true))
     var i = 0
-    while (i < rowEnd.length) { end += in.readVarInt(true); rowEnd(i) = end; i += 1 }
+    while (i < diagSum.length) { diagSum(i) = in.readVarLong(false).toDouble; i += 1 }
+    rows = new Array[Short](in.readVarInt(true))
     i = 0
-    while (i < rootT.length) { rootT(i) = in.readVarInt(true); rootN(i) = in.readVarInt(true); i += 1 }
+    while (i < rows.length) { rows(i) = (in.readVarInt(true) - 1).toShort; i += 1 }
   }
 }
 
@@ -214,13 +252,9 @@ final class ForestPartial(var count: Long, var phiSum: Array[Double], var diagSu
 final class ForestScratch(ctx: ForestContext) {
   val n: Int = ctx.n
   /** The context's source rows, node-major. */
-  val src: Array[Double] = {
-    val a = new Array[Double](ctx.nsrc * n)
-    for (j <- 0 until ctx.nsrc; u <- 0 until n) a(u * ctx.nsrc + j) = ctx.sources(j)(u)
-    a
-  }
+  val src: Array[Double] = ForestScratch.nodeMajor(ctx.sources, n)
   /** The roots, ascending. */
-  val roots: Array[Int] = (0 until n).filter(ctx.isRoot(_)).toArray
+  val roots: Array[Int] = ForestScratch.roots(ctx.isRoot, ctx.numRoots)
   /** Subtree sums of the source rows. */
   val subW: Array[Double] = new Array[Double](ctx.nsrc * n)
   /** Voltage estimates of the current forest. */
@@ -235,6 +269,35 @@ final class ForestScratch(ctx: ForestContext) {
   val next: Array[Int] = new Array[Int](n)
   /** T index of the node's tree root (-1 when that root is not in T). */
   val rootT: Array[Int] = new Array[Int](n)
+}
+
+/** The set-up loops of [[ForestScratch]]. They live in methods: a loop in a
+  * field initializer runs with `this` on the JVM operand stack, where
+  * HotSpot cannot compile it on-stack, so each task would run it
+  * interpreted.
+  */
+object ForestScratch {
+
+  private def nodeMajor(rows: Array[Array[Double]], n: Int): Array[Double] = {
+    val nsrc = rows.length
+    val a = new Array[Double](nsrc * n)
+    var j = 0
+    while (j < nsrc) {
+      val row = rows(j)
+      var u = 0
+      while (u < n) { a(u * nsrc + j) = row(u); u += 1 }
+      j += 1
+    }
+    a
+  }
+
+  private def roots(isRoot: Array[Boolean], count: Int): Array[Int] = {
+    val a = new Array[Int](count)
+    var i = 0
+    var u = 0
+    while (u < isRoot.length) { if (isRoot(u)) { a(i) = u; i += 1 }; u += 1 }
+    a
+  }
 }
 
 object ForestStats {
@@ -340,20 +403,18 @@ object ForestStats {
       k += 1
     }
     // --- per node, in node order: the voltages into the j-major sums (one
-    // write stream per row) and the rooted-at-t count for the Schur variant
+    // write stream per row) and, for the Schur variant, the forest's root row
     val wantRoots = ctx.wantRoots
-    val numT = ctx.numT; val rootCnt = acc.rootCnt
+    val row = if (wantRoots) acc.appendRow() else 0
+    val rows = acc.rowBuf
     var u = 0
     while (u < n) {
       if (!isRoot(u)) {
         val uo = u * nsrc
         var j = 0
         while (j < nsrc) { phiSum(j * n + u) += phi(uo + j); j += 1 }
-        if (wantRoots) {
-          val ti = rootT(u)
-          if (ti >= 0) rootCnt(u * numT + ti) += 1
-        }
-      }
+        if (wantRoots) rows(row + u) = rootT(u).toShort
+      } else if (wantRoots) rows(row + u) = -1
       u += 1
     }
   }

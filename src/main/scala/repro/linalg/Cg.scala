@@ -32,8 +32,9 @@ object Cg {
 
   /** Solve `L_{-S} x = b` (b must be zero on S) by preconditioned CG.
     *
-    * @param relTol stop when ||r|| ≤ relTol·||b||, or after 10·√n + 200
-    *               iterations (generous for SDD)
+    * @param relTol stop when ||r|| ≤ relTol·||b||; a solve that has not got
+    *               there after 10·√n + 200 iterations (generous for SDD), or
+    *               whose residual turned NaN, fails
     * @return solution with zeros on S, plus the iteration count
     */
   def solve(g: CsrGraph, s: Set[Int], b: Array[Double], relTol: Double): (Array[Double], Int) = {
@@ -69,6 +70,11 @@ object Cg {
       rNorm = math.sqrt(dot(r, r))
       iter += 1
     }
+    // NaN compares false: a node of degree 0 outside S makes L_{-S} singular
+    // and the first step 0/0
+    if (!(rNorm <= relTol * bNorm))
+      throw new ArithmeticException(
+        s"CG did not converge: residual ||r|| = $rNorm after $iter iterations, target relTol·||b|| = ${relTol * bNorm}")
     (x, iter)
   }
 

@@ -42,6 +42,16 @@ class ApproxGreedySpec extends SparkSpec {
     assert(c >= 0.85 * cEx, s"approx $c vs exact $cEx")
   }
 
+  test("an isolated node or a k outside [1, n) fails on the driver before any Spark job") {
+    val g = CsrGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 0))) // node 3 has no edge
+    val (e, jobs) = countJobs(intercept[IllegalArgumentException](ApproxGreedy.run(spark, g, 2, eps = 0.5)))
+    assert(e.getMessage.contains("node 3 ") && e.getMessage.contains("dense"), e.getMessage)
+    assert(jobs == 0, s"$jobs jobs")
+    val (ek, jobsK) = countJobs(intercept[IllegalArgumentException](ApproxGreedy.run(spark, karate, 34, eps = 0.5)))
+    assert(ek.getMessage.contains("k = 34") && ek.getMessage.contains("n = 34"), ek.getMessage)
+    assert(jobsK == 0, s"$jobsK jobs")
+  }
+
   test("smaller ε does not degrade quality (karate, k=3)") {
     val g = karate
     val loose = ApproxGreedy.run(spark, g, 3, eps = 0.4, seed = 7)

@@ -53,6 +53,15 @@ class ExactGreedySpec extends SparkSpec {
     assert(dist >= 2, s"picks $a,$b are adjacent")
   }
 
+  test("an isolated node or a k outside [1, n) fails before any Spark job or dense allocation") {
+    val g = CsrGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 0))) // node 3 has no edge
+    val (e, jobs) = countJobs(intercept[IllegalArgumentException](ExactGreedy.run(g, 2)))
+    assert(e.getMessage.contains("node 3 ") && e.getMessage.contains("dense"), e.getMessage)
+    assert(jobs == 0, s"$jobs jobs")
+    val ek = intercept[IllegalArgumentException](ExactGreedy.run(karate, 0))
+    assert(ek.getMessage.contains("k = 0") && ek.getMessage.contains("n = 34"), ek.getMessage)
+  }
+
   test("greedy achieves at least the (1 − k/(k−1)/e) bound vs the optimum (karate, k=2,3)") {
     val g = karate
     for (k <- Seq(2, 3)) {

@@ -125,12 +125,8 @@ class ForestStatsSpec extends SparkSpec {
     for ((name, ctx) <- cases) {
       val acc = foldRange(ctx, 5, 0, 8)
       val p = acc.pack
-      assert(p.rowEnd.length == (if (ctx.numT > 0) ctx.n else 0), name)
-      assert(p.rootT.length == acc.rootCnt.count(_ != 0), name)
-      for (u <- p.rowEnd.indices) {
-        val ts = ((if (u == 0) 0 else p.rowEnd(u - 1)) until p.rowEnd(u)).map(p.rootT(_))
-        assert(ts == ts.sorted.distinct, s"$name: row $u is not ascending")
-      }
+      assert(p.rows.length == (if (ctx.numT > 0) acc.count * ctx.n else 0), name)
+      assert(p.rows.forall(t => t >= -1 && t < ctx.numT), s"$name: a root row entry outside [-1, |T|)")
       assertSame(newAcc(ctx).add(p), acc, name)
       assertSame(newAcc(ctx).add(kryo.deserialize[ForestPartial](kryo.serialize(p))), acc, s"$name, through Kryo")
     }
@@ -158,13 +154,37 @@ class ForestStatsSpec extends SparkSpec {
     assertSame(viaSpark, local, "ForestSampler.run vs local folds")
   }
 
-  test("a task's Kryo-serialized partial is under half the dense accumulator (BA n = 2,000)") {
-    val ctx = baCtx(wantDiag = true)
+  test("a 16-forest Schur partial on the schur-ba17k graph is under 1 MiB") {
+    // Spark's spark.task.maxDirectResultSize: a larger task result takes the
+    // block manager's second round trip
+    // the benchmark's schur-ba17k graph and ε; roots selectT and the
+    // highest-degree node outside it
+    val g = GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 16848, 5, 16848))
+    val t = SchurCfcm.selectT(g)
+    val s = (0 until g.n).filterNot(t.contains).maxBy(g.degree)
+    val ctx = ForestContext(g, Set(s) ++ t, Jl.materialize(29, Jl.width(0.5), g.n), wantDiag = true, t)
     val acc = foldRange(ctx, 7, 0, 16) // forests per task on schur-ba17k
     val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
-    val packed = kryo.serialize(acc.pack).remaining()
-    val dense = kryo.serialize(acc).remaining()
-    assert(packed < dense / 2, s"packed $packed B, dense $dense B (|T| = ${ctx.numT})")
+    val bytes = kryo.serialize(acc.pack).remaining()
+    assert(bytes < (1 << 20), s"$bytes B (n = ${g.n}, |T| = ${ctx.numT}, nsrc = ${ctx.nsrc})")
+  }
+
+  test("a fold-only Schur accumulator holds no n×|T| array") {
+    val ctx = baCtx(wantDiag = true)
+    val acc = foldRange(ctx, 7, 0, 16)
+    def intArrays(o: AnyRef): Seq[Array[Int]] =
+      o.getClass.getDeclaredFields.toSeq.flatMap { f =>
+        f.setAccessible(true)
+        f.get(o) match { case a: Array[Int] => Some(a); case _ => None }
+      }
+    val dense = ctx.n * ctx.numT
+    assert(intArrays(acc).forall(_.length < dense), s"an int array of n·|T| = $dense entries after folding")
+    assert(acc.pack.rows.length == 16 * ctx.n)
+    // the dense view appears on the first read, and counts the rows
+    val ref = newAcc(ctx)
+    for (i <- 0 until 16) naiveFold(ctx, forest(ctx, 7, i), ref)
+    assert(java.util.Arrays.equals(acc.rootCnt, ref.rootCnt))
+    assert(intArrays(acc).exists(_.length == dense))
   }
 
   test("a Kryo-serialized partial without T carries only the φ and diagonal sums") {

@@ -55,6 +55,14 @@ class CgSpec extends SparkSpec {
     assert(resid < 1e-4)
   }
 
+  test("CG fails with the iteration count and residual when an isolated node outside S carries weight") {
+    // node 3 has no edge, so L_{-S} is singular and the first step is 0/0
+    val g = CsrGraph.fromEdges(4, Seq((0, 1), (1, 2)))
+    val b = Array(0.0, 0.0, 0.0, 1.0)
+    val e = intercept[ArithmeticException](Cg.solve(g, Set(0), b, 1e-8))
+    assert(e.getMessage.contains("after 1 iterations") && e.getMessage.contains("NaN"), e.getMessage)
+  }
+
   test("CG rejects empty S (singular L)") {
     intercept[IllegalArgumentException] {
       Cg.solve(karate, Set.empty, Array.fill(karate.n)(1.0), 1e-8)
