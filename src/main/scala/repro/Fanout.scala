@@ -6,9 +6,10 @@ import org.apache.spark.SparkContext
 
 /** One parallel round of the greedy algorithms as one Spark job.
   *
-  * The sampling rounds (forest indices) and APPROXGREEDY's solve rounds (JL
-  * row indices) both fan an index range out over partitions, fold each slice
-  * into one partial on an executor, and add the partials on the driver.
+  * The sampling rounds (forest indices) and APPROXGREEDY's iterations (JL
+  * row indices of both its solve rounds) both fan an index range out over
+  * partitions, fold each slice into one partial on an executor, and add the
+  * partials on the driver.
   */
 object Fanout {
 

@@ -28,22 +28,30 @@ object Cfcc {
 
   /** `Tr(L_{-S}^{-1})` by Hutchinson's estimator with Rademacher probes and
     * CG solves — `E[zᵀ L_{-S}^{-1} z] = Tr(L_{-S}^{-1})` for ±1 entries z.
+    * The probes are the columns of one multi-column solve, drawn probe after
+    * probe, and their `zᵀx` are added in probe order.
     */
   def traceInvCg(g: CsrGraph, s: Set[Int], probes: Int = 64, seed: Long = 42): Double = {
     require(s.nonEmpty)
+    val n = g.n
     val rng = new java.util.SplittableRandom(seed)
     var sum = 0.0
-    var p = 0
-    while (p < probes) {
-      val z = new Array[Double](g.n)
+    Cg.solveColumns(g, s, probes, CgTol) { (_, bw, z) =>
+      var j = 0
+      while (j < bw) {
+        var u = 0
+        while (u < n) { if (!s.contains(u)) z(u * bw + j) = if (rng.nextBoolean()) 1.0 else -1.0; u += 1 }
+        j += 1
+      }
+    } { (_, bw, z, x, _) =>
+      val dots = new Array[Double](bw)
       var u = 0
-      while (u < g.n) { if (!s.contains(u)) z(u) = if (rng.nextBoolean()) 1.0 else -1.0; u += 1 }
-      val (x, _) = Cg.solve(g, s, z, CgTol)
-      var dot = 0.0
-      u = 0
-      while (u < g.n) { dot += z(u) * x(u); u += 1 }
-      sum += dot
-      p += 1
+      while (u < n) {
+        var j = 0
+        while (j < bw) { val k = u * bw + j; dots(j) += z(k) * x(k); j += 1 }
+        u += 1
+      }
+      dots.foreach(sum += _)
     }
     sum / probes
   }

@@ -70,6 +70,16 @@ object GraphOps {
     dist
   }
 
+  /** Fail unless every node is reachable from node 0: on a disconnected
+    * graph `L_{-S}` is singular whenever some component holds no node of S.
+    */
+  def requireConnected(g: CsrGraph): Unit = {
+    val reached = bfs(g, Seq(0)).count(_ >= 0)
+    require(reached == g.n,
+      s"graph is not connected: $reached of its ${g.n} nodes are reachable from node 0; " +
+      "GraphOps.largestComponent keeps the largest component")
+  }
+
   /** Nodes in BFS order from a source set (the order Algorithms 2–5 call
     * `L_BFS`), together with each node's BFS-tree parent (-1 for sources).
     */

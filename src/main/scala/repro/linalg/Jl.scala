@@ -19,8 +19,9 @@ object Jl {
   /** Entry (row j, column v) of the w-row projection: ±1/√w. */
   @inline def entry(seed: Long, j: Int, v: Int, w: Int): Double = {
     val h = mix(seed ^ (j.toLong << 32) ^ (v.toLong & 0xffffffffL))
-    val sign = if ((h & 1L) == 0L) 1.0 else -1.0
-    sign / math.sqrt(w.toDouble)
+    // 1/√w with the hash's low bit as its sign bit: −1/√w is −(1/√w)
+    // exactly, and a flipped bit does not stall on an unpredictable branch
+    java.lang.Double.longBitsToDouble(java.lang.Double.doubleToRawLongBits(1.0 / math.sqrt(w.toDouble)) ^ (h << 63))
   }
 
   /** Materialize the full w×n projection (row-major rows). */

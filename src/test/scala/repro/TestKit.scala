@@ -103,6 +103,24 @@ object TestKit {
   def matvec(a: Array[Double], n: Int, x: Array[Double]): Array[Double] =
     Array.tabulate(n)(i => (0 until n).map(j => a(i * n + j) * x(j)).sum)
 
+  /** `y = L_{-S} x` where vectors live on all n nodes but entries in S are
+    * identically zero (grounded). `inS(u)` marks membership.
+    */
+  def applyLaplacianMinusS(g: CsrGraph, inS: Array[Boolean], x: Array[Double]): Array[Double] = {
+    val y = new Array[Double](g.n)
+    var u = 0
+    while (u < g.n) {
+      if (!inS(u)) {
+        var s = g.degree(u) * x(u)
+        var i = g.off(u)
+        while (i < g.off(u + 1)) { val v = g.adj(i); if (!inS(v)) s -= x(v); i += 1 }
+        y(u) = s
+      }
+      u += 1
+    }
+    y
+  }
+
   /** Max absolute difference between two equally sized arrays. */
   def maxAbsDiff(a: Array[Double], b: Array[Double]): Double =
     a.indices.map(i => math.abs(a(i) - b(i))).foldLeft(0.0)(math.max)

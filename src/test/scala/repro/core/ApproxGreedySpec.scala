@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
+import repro.linalg.{Cg, Jl}
 
 class ApproxGreedySpec extends SparkSpec {
 
@@ -59,5 +60,68 @@ class ApproxGreedySpec extends SparkSpec {
     val cl = Cfcc.exact(g, loose.picks.toSet)
     val ct = Cfcc.exact(g, tight.picks.toSet)
     assert(ct >= 0.95 * cl, s"tight $ct vs loose $cl")
+  }
+
+  test("a disconnected graph fails on the driver before any Spark job, saying how many nodes are reachable") {
+    // two triangles joined by nothing, and a pendant node on the second
+    val g = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    val (e, jobs) = countJobs(intercept[IllegalArgumentException](ApproxGreedy.run(spark, g, 2, eps = 0.5)))
+    assert(e.getMessage.contains("not connected") && e.getMessage.contains("3 of its 7 nodes"), e.getMessage)
+    assert(jobs == 0, s"$jobs jobs")
+  }
+
+  /** APPROXGREEDY re-driven on the driver: every right-hand side solved on
+    * its own with `Cg.solve`, each solve round's JL rows cut into the same
+    * slices as a job's tasks and the slices' squared sums added in slice
+    * order. Returns the picks and the CG iterations of every solve.
+    */
+  private def redrive(g: CsrGraph, k: Int, eps: Double, seed: Long): (Seq[Int], Long) = {
+    val n = g.n
+    val w = ApproxGreedy.width(eps, n)
+    val slices = math.min(spark.sparkContext.defaultParallelism, w)
+    val edges = g.edgeList
+    var iters = 0L
+    def sumSq(s: Set[Int], jlSeed: Long, incidenceSide: Boolean): Array[Double] = {
+      val total = new Array[Double](n)
+      for (slice <- 0 until slices) {
+        val acc = new Array[Double](n)
+        for (j <- (slice.toLong * w / slices).toInt until ((slice + 1).toLong * w / slices).toInt) {
+          val rhs = new Array[Double](n)
+          if (incidenceSide) for (((a, b), e) <- edges.zipWithIndex) {
+            val q = Jl.entry(jlSeed, j, e, w)
+            if (!s.contains(a)) rhs(a) += q
+            if (!s.contains(b)) rhs(b) -= q
+          }
+          else for (v <- 0 until n if !s.contains(v)) rhs(v) = Jl.entry(jlSeed, j, v, w)
+          val (x, it) = Cg.solve(g, s, rhs, 1e-6)
+          iters += it
+          for (u <- 0 until n) acc(u) += x(u) * x(u)
+        }
+        for (u <- 0 until n) total(u) += acc(u)
+      }
+      total
+    }
+    val s0 = g.maxDegreeNode
+    val dInv = sumSq(Set(s0), seed, incidenceSide = true)
+    val (h, hIters) = Cg.solve(g, Set(s0), Array.tabulate(n)(u => if (u == s0) 0.0 else 1.0), 1e-6)
+    iters += hIters
+    val first = Greedy.firstPick(Array.tabulate(n)(u => dInv(u) - 2.0 / n * h(u)), s0)
+    val picks = Greedy.run(k, first) { (s, i) =>
+      val den = sumSq(s, seed + 1000 * i, incidenceSide = true)
+      val num = sumSq(s, seed + 1000 * i + 500, incidenceSide = false)
+      Array.tabulate(n)(u => num(u) / math.max(den(u), 1e-300))
+    }
+    (picks, iters)
+  }
+
+  test("run picks and CG iterations equal a column-by-column re-drive (karate and BA n = 300, k = 4)") {
+    val ba = GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 300, 3, 11))
+    for ((g, eps) <- Seq((karate, 0.3), (ba, 0.8))) {
+      val res = ApproxGreedy.run(spark, g, 4, eps, seed = 5)
+      val (picks, iters) = redrive(g, 4, eps, seed = 5)
+      assert(res.picks == picks, s"n = ${g.n}: run ${res.picks} vs re-drive $picks")
+      assert(res.cgIters == iters, s"n = ${g.n}: run ${res.cgIters} vs re-drive $iters CG iterations")
+      assert(res.cgIters >= res.solves, s"n = ${g.n}: ${res.cgIters} iterations over ${res.solves} solves")
+    }
   }
 }

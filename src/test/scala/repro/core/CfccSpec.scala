@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.TestKit.maxDegree
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
-import repro.linalg.Dense
+import repro.linalg.{Cg, Dense}
 
 class CfccSpec extends SparkSpec {
 
@@ -77,5 +77,23 @@ class CfccSpec extends SparkSpec {
     val center = Set(24) // (3,3)
     val corner = Set(0)
     assert(Cfcc.exact(g, center) > Cfcc.exact(g, corner))
+  }
+
+  test("traceInvCg equals a per-probe Cg.solve reference, bit for bit") {
+    val ba = GraphOps.largestComponent(GraphGen.barabasiAlbert(spark, 1500, 3, 7))
+    for ((g, s, probes) <- Seq((karate, Set(0, 33), 100), (ba, Set(ba.maxDegreeNode), 32))) {
+      val rng = new java.util.SplittableRandom(42)
+      var sum = 0.0
+      for (_ <- 0 until probes) {
+        val z = Array.tabulate(g.n)(u => if (s.contains(u)) 0.0 else if (rng.nextBoolean()) 1.0 else -1.0)
+        val (x, _) = Cg.solve(g, s, z, 1e-6)
+        var dot = 0.0
+        for (u <- 0 until g.n) dot += z(u) * x(u)
+        sum += dot
+      }
+      val got = Cfcc.traceInvCg(g, s, probes, 42)
+      assert(java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(sum / probes),
+             s"n = ${g.n}: $got vs ${sum / probes}")
+    }
   }
 }

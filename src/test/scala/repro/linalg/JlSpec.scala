@@ -13,6 +13,20 @@ class JlSpec extends AnyFunSuite {
     }
   }
 
+  test("entries equal sign / √w, the sign from SplitMix64's low bit, bit for bit") {
+    def mix(z0: Long): Long = {
+      var z = z0 + 0x9e3779b97f4a7c15L
+      z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+      z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+      z ^ (z >>> 31)
+    }
+    for (w <- Seq(8, 13, 260, 4561); j <- 0 until 8; v <- 0 until 300) {
+      val h = mix(77L ^ (j.toLong << 32) ^ (v.toLong & 0xffffffffL))
+      val ref = (if ((h & 1L) == 0L) 1.0 else -1.0) / math.sqrt(w.toDouble)
+      assert(java.lang.Double.doubleToRawLongBits(Jl.entry(77L, j, v, w)) == java.lang.Double.doubleToRawLongBits(ref))
+    }
+  }
+
   test("materialize matches lazy entries") {
     val m = Jl.materialize(7L, 8, 40)
     for (j <- 0 until 8; v <- 0 until 40) assert(m(j)(v) == Jl.entry(7L, j, v, 8))
