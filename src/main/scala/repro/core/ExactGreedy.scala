@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.CsrGraph
+import repro.graph.{CsrGraph, GraphOps}
 import repro.linalg.Dense
 
 /** EXACT greedy baseline (Section V-A): greedy CFCM with exact marginal
@@ -21,6 +21,7 @@ object ExactGreedy {
   def run(g: CsrGraph, k: Int): Result = {
     Greedy.requireK(k, g.n)
     g.requireNoIsolatedNode()
+    GraphOps.requireConnected(g)
     val n = g.n
     // First pick: argmin of diag(L†) — Eq. (4) — ties to the lowest id.
     val first = Greedy.argmax(Cfcc.pseudoinverseDiag(g).map(-_), Set.empty)

@@ -9,11 +9,11 @@ import repro.Fanout
   * i = 1..2^{r'} do in parallel") map to one Spark job
   * ([[Fanout.foldSlices]]) per sampling phase over slices of the forest
   * indices against a broadcast [[ForestContext]]; every slice folds its
-  * forests into one [[ForestAcc]] and ships it packed ([[ForestPartial]]:
-  * one root row per forest), and the driver adds the partials into one
-  * accumulator in slice order. The paper's empirical-Bernstein stop
-  * (Lemma 3.6) is not applied: at the practical budget it never fired
-  * (DESIGN.md), so every phase samples its whole budget.
+  * forests into one [[ForestAcc]] and ships it (one root row per forest),
+  * and the driver merges the slices' accumulators into one in slice order.
+  * The paper's empirical-Bernstein stop (Lemma 3.6) is not applied: at the
+  * practical budget it never fired (DESIGN.md), so every phase samples its
+  * whole budget.
   */
 object ForestSampler {
 
@@ -45,8 +45,8 @@ object ForestSampler {
           val f = Wilson.sample(c.g, c.isRoot, c.numRoots, rng)
           ForestStats.fold(c, f, acc, scr)
         }
-        acc.pack
-      }(new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT))(_ add _)
+        acc
+      }(new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT))(_ merge _)
     } finally bcCtx.destroy()
   }
 }

@@ -1,6 +1,6 @@
 package repro.forest
 
-import com.esotericsoftware.kryo.{Kryo, KryoSerializable}
+import com.esotericsoftware.kryo.{DefaultSerializer, Kryo, Serializer}
 import com.esotericsoftware.kryo.io.{Input, Output}
 import repro.graph.{CsrGraph, GraphOps}
 
@@ -47,11 +47,13 @@ final class ForestContext(
 object ForestContext {
 
   /** Build a context for root set `roots` on graph `g`. Every node needs a
-    * neighbor: a random walk from an isolated node has nowhere to go.
+    * neighbor, since a random walk from an isolated node has nowhere to go,
+    * and a path to a root, so the graph must be connected.
     */
   def apply(g: CsrGraph, roots: Set[Int], sources: Array[Array[Double]],
             wantDiag: Boolean, tList: Array[Int] = Array.empty): ForestContext = {
     g.requireNoIsolatedNode()
+    GraphOps.requireConnected(g)
     val isRoot = new Array[Boolean](g.n)
     roots.foreach(isRoot(_) = true)
     val (order, parent) = GraphOps.bfsTree(g, roots.toSeq.sorted)
@@ -81,10 +83,11 @@ object ForestContext {
   *    root, from which the rooted-at-`t` counts `Ñ(ρ_u = t)` (Lemma 4.2)
   *    follow.
   *
-  * A sampling task ships its sums and root rows as a [[ForestPartial]]
-  * ([[pack]]); the driver [[add]]s the partials into one accumulator in slice
-  * order, counting their rows into the dense [[rootCnt]].
+  * A sampling task ships the accumulator it folded into ([[ForestAcc.Wire]]
+  * is its Kryo form); the driver [[merge]]s the tasks' accumulators into one
+  * in slice order, counting their rows into the dense [[rootCnt]].
   */
+@DefaultSerializer(classOf[ForestAcc.Wire])
 final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
     extends Serializable {
   require(numT <= Short.MaxValue, s"|T| = $numT does not fit a Short root row")
@@ -104,16 +107,16 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
     */
   private var rows: Array[Short] = Array.emptyShortArray
   private var rowsLen = 0
-  /** Dense Ñ(ρ_u = t), flat n×numT; allocated on the first [[add]] of rows or
-    * read of [[rootCnt]], so a sampling task never holds it.
+  /** Dense Ñ(ρ_u = t), flat n×numT; allocated on the first [[merge]] or read
+    * of [[rootCnt]], so a sampling task never holds it.
     */
   private var counts: Array[Int] = null
   /** Entries of `rows` already counted into `counts`. */
   private var counted = 0
-  /** Whether partials' rows were counted into `counts`, which `rows` then no
-    * longer describe.
+  /** Whether `counts` hold merged accumulators' rows, which `rows` do not
+    * describe.
     */
-  private var addedRows = false
+  private var merged = false
 
   /** Room for one more root row; returns its offset into [[rowBuf]]. */
   private[forest] def appendRow(): Int = {
@@ -128,8 +131,8 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
 
   private[forest] def rowBuf: Array[Short] = rows
 
-  /** Ñ(ρ_u = t), flat n×numT (`u·numT + t`): the added partials' rows and
-    * this accumulator's own rows, counted. Reading it counts the own rows
+  /** Ñ(ρ_u = t), flat n×numT (`u·numT + t`): the merged accumulators' rows
+    * and this accumulator's own rows, counted. Reading it counts the own rows
     * folded since the last read.
     */
   def rootCnt: Array[Int] =
@@ -164,35 +167,28 @@ final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT
     }
   }
 
-  /** The wire form of these sums: the dense sums and this accumulator's own
-    * root rows, shared, not copied.
+  /** Add another accumulator's sums, entry by entry: its count, φ and
+    * diagonal sums, its dense root counts if it has any, and its root rows
+    * not yet counted into them. `o` is left as it was.
     */
-  def pack: ForestPartial = {
-    require(!addedRows, "pack ships the root rows this accumulator folded; it cannot ship root counts " +
-      "added from partials (add or merge) as rows")
-    if (rows.length != rowsLen) rows = java.util.Arrays.copyOf(rows, rowsLen)
-    new ForestPartial(count, phiSum, diagSum, rows)
-  }
-
-  /** Add a partial into these sums, entry by entry; its root rows are counted
-    * into [[rootCnt]], not kept.
-    */
-  def add(p: ForestPartial): ForestAcc = {
-    require(p.phiSum.length == phiSum.length && p.diagSum.length == diagSum.length &&
-            p.rows.length.toLong == (if (numT > 0) p.count * n else 0L), "partial of another shape")
-    count += p.count
+  def merge(o: ForestAcc): ForestAcc = {
+    require(o.nsrc == nsrc && o.n == n && o.wantDiag == wantDiag && o.numT == numT, "accumulator of another shape")
+    count += o.count
     var i = 0
-    while (i < phiSum.length) { phiSum(i) += p.phiSum(i); i += 1 }
+    while (i < phiSum.length) { phiSum(i) += o.phiSum(i); i += 1 }
     i = 0
-    while (i < diagSum.length) { diagSum(i) += p.diagSum(i); i += 1 }
-    if (p.rows.nonEmpty) { countRows(p.rows, 0, p.rows.length); addedRows = true }
+    while (i < diagSum.length) { diagSum(i) += o.diagSum(i); i += 1 }
+    if (numT > 0) {
+      if (o.counts != null) {
+        val c = dense
+        i = 0
+        while (i < c.length) { c(i) += o.counts(i); i += 1 }
+      }
+      if (o.counted < o.rowsLen) countRows(o.rows, o.counted, o.rowsLen)
+      merged = true
+    }
     this
   }
-
-  /** Add another accumulator's sums, through the same path a task's partial
-    * takes.
-    */
-  def merge(o: ForestAcc): ForestAcc = add(o.pack)
 }
 
 object ForestAcc {
@@ -200,48 +196,51 @@ object ForestAcc {
   private val MaxRowEntries = Int.MaxValue - 8L
   /** Nodes per parallel block when root rows are counted. */
   private val CountBlock = 1024
-}
 
-/** A [[ForestAcc]] as a sampling task ships it: the count, the φ and diagonal
-  * sums, and the root rows (`count·n` entries, none when |T| = 0).
-  *
-  * Kryo writes primitive arrays at full width (Spark's unsafe Kryo output
-  * even when asked for varints), so [[write]] sends the integer-valued parts
-  * one varint at a time: each diagonal sum, an integer within a task, zigzag
-  * encoded, and each root-row entry as `t + 1`, one byte while |T| < 128. The
-  * fields are `var`s only so that [[read]] can fill them.
-  */
-final class ForestPartial(var count: Long, var phiSum: Array[Double], var diagSum: Array[Double],
-                          var rows: Array[Short])
-    extends Serializable with KryoSerializable {
+  /** The wire form of a sampling task's accumulator: its shape, the count,
+    * the φ sums, the diagonal sums and its own root rows. Kryo writes
+    * primitive arrays at full width (Spark's unsafe Kryo output even when
+    * asked for varints), so [[write]] sends the integer-valued parts one
+    * varint at a time: each diagonal sum, an integer within a task, zigzag
+    * encoded, and each root-row entry as `t + 1`, one byte while |T| < 128.
+    */
+  final class Wire extends Serializer[ForestAcc] {
 
-  override def write(kryo: Kryo, out: Output): Unit = {
-    out.writeLong(count)
-    out.writeVarInt(phiSum.length, true)
-    out.writeDoubles(phiSum)
-    out.writeVarInt(diagSum.length, true)
-    var i = 0
-    while (i < diagSum.length) {
-      val d = diagSum(i)
-      val l = d.toLong
-      require(l == d, s"diagonal sum $d of node $i is not an integer")
-      out.writeVarLong(l, false)
-      i += 1
+    override def write(kryo: Kryo, out: Output, a: ForestAcc): Unit = {
+      require(!a.merged, "an accumulator ships the root rows it folded; a merged accumulator's root counts " +
+        "cannot be shipped as rows")
+      out.writeVarInt(a.nsrc, true)
+      out.writeVarInt(a.n, true)
+      out.writeBoolean(a.wantDiag)
+      out.writeVarInt(a.numT, true)
+      out.writeVarLong(a.count, true)
+      out.writeDoubles(a.phiSum)
+      var i = 0
+      while (i < a.diagSum.length) {
+        val d = a.diagSum(i)
+        val l = d.toLong
+        require(l == d, s"diagonal sum $d of node $i is not an integer")
+        out.writeVarLong(l, false)
+        i += 1
+      }
+      out.writeVarInt(a.rowsLen, true)
+      i = 0
+      while (i < a.rowsLen) { out.writeVarInt(a.rows(i) + 1, true); i += 1 }
     }
-    out.writeVarInt(rows.length, true)
-    i = 0
-    while (i < rows.length) { out.writeVarInt(rows(i) + 1, true); i += 1 }
-  }
 
-  override def read(kryo: Kryo, in: Input): Unit = {
-    count = in.readLong()
-    phiSum = in.readDoubles(in.readVarInt(true))
-    diagSum = new Array[Double](in.readVarInt(true))
-    var i = 0
-    while (i < diagSum.length) { diagSum(i) = in.readVarLong(false).toDouble; i += 1 }
-    rows = new Array[Short](in.readVarInt(true))
-    i = 0
-    while (i < rows.length) { rows(i) = (in.readVarInt(true) - 1).toShort; i += 1 }
+    override def read(kryo: Kryo, in: Input, cls: Class[ForestAcc]): ForestAcc = {
+      val a = new ForestAcc(in.readVarInt(true), in.readVarInt(true), in.readBoolean(), in.readVarInt(true))
+      a.count = in.readVarLong(true)
+      var i = 0
+      while (i < a.phiSum.length) { a.phiSum(i) = in.readDouble(); i += 1 }
+      i = 0
+      while (i < a.diagSum.length) { a.diagSum(i) = in.readVarLong(false).toDouble; i += 1 }
+      a.rowsLen = in.readVarInt(true)
+      a.rows = new Array[Short](a.rowsLen)
+      i = 0
+      while (i < a.rowsLen) { a.rows(i) = (in.readVarInt(true) - 1).toShort; i += 1 }
+      a
+    }
   }
 }
 
@@ -267,8 +266,6 @@ final class ForestScratch(ctx: ForestContext) {
   val tin: Array[Int] = new Array[Int](n)
   /** Next free label inside a node's interval, while labels are handed out. */
   val next: Array[Int] = new Array[Int](n)
-  /** T index of the node's tree root (-1 when that root is not in T). */
-  val rootT: Array[Int] = new Array[Int](n)
 }
 
 /** The set-up loops of [[ForestScratch]]. They live in methods: a loop in a
@@ -330,18 +327,23 @@ object ForestStats {
       k += 1
     }
 
-    // --- preorder intervals for O(1) "is a an ancestor of u" tests, and the
-    // T index of every node's root: the roots take consecutive intervals,
-    // then each child (parents first: reverse order) takes the next free
-    // slot inside its parent's interval
-    val tin = scr.tin; val next = scr.next; val rootT = scr.rootT
-    if (ctx.wantDiag || ctx.wantRoots) {
+    // --- preorder intervals for O(1) "is a an ancestor of u" tests, and for
+    // the Schur variant the forest's root row: the roots take consecutive
+    // intervals, then each child (parents first: reverse order) takes the
+    // next free slot inside its parent's interval. A root's entry is −1, a
+    // root's child's is the root's T index, and any other node's is its
+    // parent's.
+    val tin = scr.tin; val next = scr.next
+    val wantRoots = ctx.wantRoots
+    if (ctx.wantDiag || wantRoots) {
+      val row = if (wantRoots) acc.appendRow() else 0
+      val rows = acc.rowBuf
       var timer = 0
       var i = 0
       while (i < scr.roots.length) {
         val r = scr.roots(i)
         tin(r) = timer; next(r) = timer + 1; timer += size(r)
-        rootT(r) = if (ctx.wantRoots) ctx.tIndex(r) else -1
+        if (wantRoots) rows(row + r) = -1
         i += 1
       }
       k = order.length - 1
@@ -350,7 +352,7 @@ object ForestStats {
         val p = parent(c)
         val t = next(p)
         tin(c) = t; next(c) = t + 1; next(p) = t + size(c)
-        rootT(c) = rootT(p)
+        if (wantRoots) rows(row + c) = if (isRoot(p)) ctx.tIndex(p).toShort else rows(row + p)
         k -= 1
       }
     }
@@ -403,18 +405,14 @@ object ForestStats {
       k += 1
     }
     // --- per node, in node order: the voltages into the j-major sums (one
-    // write stream per row) and, for the Schur variant, the forest's root row
-    val wantRoots = ctx.wantRoots
-    val row = if (wantRoots) acc.appendRow() else 0
-    val rows = acc.rowBuf
+    // write stream per row)
     var u = 0
     while (u < n) {
       if (!isRoot(u)) {
         val uo = u * nsrc
         var j = 0
         while (j < nsrc) { phiSum(j * n + u) += phi(uo + j); j += 1 }
-        if (wantRoots) rows(row + u) = rootT(u).toShort
-      } else if (wantRoots) rows(row + u) = -1
+      }
       u += 1
     }
   }

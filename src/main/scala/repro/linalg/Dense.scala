@@ -21,7 +21,6 @@ object Dense {
   }
 
   @inline def get(a: Array[Double], n: Int, i: Int, j: Int): Double = a(i * n + j)
-  @inline def set(a: Array[Double], n: Int, i: Int, j: Int, v: Double): Unit = a(i * n + j) = v
 
   /** Dense Laplacian L = D − A of a CSR graph. */
   def laplacian(g: CsrGraph): Array[Double] = {

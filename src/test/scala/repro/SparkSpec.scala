@@ -56,8 +56,8 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       // The serializer perfbench runs with. Kryo writes primitive arrays at
       // full width (an int[1e6] of zeros takes 4,000,005 bytes), so the
-      // sampler's partial varint-encodes its diagonal sums and root rows
-      // itself (ForestPartial)
+      // sampler's accumulator varint-encodes its diagonal sums and root rows
+      // itself (ForestAcc.Wire)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -62,6 +62,13 @@ class ExactGreedySpec extends SparkSpec {
     assert(ek.getMessage.contains("k = 0") && ek.getMessage.contains("n = 34"), ek.getMessage)
   }
 
+  test("a disconnected graph fails before any dense allocation, saying how many nodes are reachable") {
+    // two triangles joined by nothing, and a pendant node on the second
+    val g = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    val e = intercept[IllegalArgumentException](ExactGreedy.run(g, 2))
+    assert(e.getMessage.contains("not connected") && e.getMessage.contains("3 of its 7 nodes"), e.getMessage)
+  }
+
   test("greedy achieves at least the (1 − k/(k−1)/e) bound vs the optimum (karate, k=2,3)") {
     val g = karate
     for (k <- Seq(2, 3)) {

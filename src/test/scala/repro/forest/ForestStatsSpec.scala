@@ -7,8 +7,7 @@ import repro.graph.{CsrGraph, GraphGen, GraphOps}
 import repro.linalg.Jl
 
 /** `ForestStats.fold` against a plain reference fold, bit for bit, and the
-  * wire form (`ForestAcc.pack` / `ForestAcc.add`) a sampling task ships its
-  * sums in.
+  * Kryo form of `ForestAcc` a sampling task ships its sums in.
   */
 class ForestStatsSpec extends SparkSpec {
 
@@ -111,7 +110,7 @@ class ForestStatsSpec extends SparkSpec {
     }
   }
 
-  test("pack, Kryo and add reproduce the accumulator exactly, with and without T") {
+  test("merge and a Kryo round trip reproduce the accumulator exactly, with and without T") {
     val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
     // S = the grid's first row, T = the far corner: most forests root the
     // second row at S
@@ -124,11 +123,17 @@ class ForestStatsSpec extends SparkSpec {
       "numT = 1" -> farT)
     for ((name, ctx) <- cases) {
       val acc = foldRange(ctx, 5, 0, 8)
-      val p = acc.pack
-      assert(p.rows.length == (if (ctx.numT > 0) acc.count * ctx.n else 0), name)
-      assert(p.rows.forall(t => t >= -1 && t < ctx.numT), s"$name: a root row entry outside [-1, |T|)")
-      assertSame(newAcc(ctx).add(p), acc, name)
-      assertSame(newAcc(ctx).add(kryo.deserialize[ForestPartial](kryo.serialize(p))), acc, s"$name, through Kryo")
+      val back = kryo.deserialize[ForestAcc](kryo.serialize(acc))
+      assert(back.rowBuf.length == (if (ctx.numT > 0) acc.count * ctx.n else 0), name)
+      assert(back.rowBuf.forall(t => t >= -1 && t < ctx.numT), s"$name: a root row entry outside [-1, |T|)")
+      assertSame(newAcc(ctx).merge(acc), acc, name)
+      assertSame(newAcc(ctx).merge(back), acc, s"$name, through Kryo")
+      // acc's rows are now counted into its dense counts: merge reads those
+      assertSame(newAcc(ctx).merge(acc), acc, s"$name, rows counted")
+      if (ctx.numT > 0) {
+        val e = intercept[IllegalArgumentException](kryo.serialize(newAcc(ctx).merge(acc)))
+        assert(e.getMessage.contains("merged accumulator"), s"$name: ${e.getMessage}")
+      }
     }
     val acc = foldRange(farT, 5, 0, 8)
     val rowSums = (0 until farT.n).filterNot(farT.isRoot).map(u => acc.rootCnt(u))
@@ -165,7 +170,7 @@ class ForestStatsSpec extends SparkSpec {
     val ctx = ForestContext(g, Set(s) ++ t, Jl.materialize(29, Jl.width(0.5), g.n), wantDiag = true, t)
     val acc = foldRange(ctx, 7, 0, 16) // forests per task on schur-ba17k
     val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
-    val bytes = kryo.serialize(acc.pack).remaining()
+    val bytes = kryo.serialize(acc).remaining()
     assert(bytes < (1 << 20), s"$bytes B (n = ${g.n}, |T| = ${ctx.numT}, nsrc = ${ctx.nsrc})")
   }
 
@@ -179,7 +184,8 @@ class ForestStatsSpec extends SparkSpec {
       }
     val dense = ctx.n * ctx.numT
     assert(intArrays(acc).forall(_.length < dense), s"an int array of n·|T| = $dense entries after folding")
-    assert(acc.pack.rows.length == 16 * ctx.n)
+    val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
+    assert(kryo.deserialize[ForestAcc](kryo.serialize(acc)).rowBuf.length == 16 * ctx.n)
     // the dense view appears on the first read, and counts the rows
     val ref = newAcc(ctx)
     for (i <- 0 until 16) naiveFold(ctx, forest(ctx, 7, i), ref)
@@ -191,8 +197,8 @@ class ForestStatsSpec extends SparkSpec {
     val ctx = ForestContext(grid, Set(0, 1023), Jl.materialize(17, 3, grid.n), wantDiag = true)
     val acc = foldRange(ctx, 5, 0, 8)
     val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
-    val bytes = kryo.serialize(acc.pack).remaining()
-    // the nsrc·n + n doubles, plus 64 bytes for the count, lengths and class tag
+    val bytes = kryo.serialize(acc).remaining()
+    // the nsrc·n + n doubles, plus 64 bytes for the shape, count and class tag
     val bound = 8 * (ctx.nsrc * ctx.n + ctx.n) + 64
     assert(bytes < bound, s"$bytes B, bound $bound B")
   }

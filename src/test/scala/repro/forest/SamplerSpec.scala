@@ -106,6 +106,18 @@ class SamplerSpec extends SparkSpec {
     assert(jobs == 0, s"$jobs jobs")
   }
 
+  test("a disconnected graph fails on the driver before any Spark job (FORESTCFCM, SCHURCFCM)") {
+    // two triangles joined by nothing, and a pendant node on the second
+    val g = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    val cfg = ForestCfcm.Config(eps = 0.5)
+    for ((name, run) <- Seq[(String, () => Any)]("FORESTCFCM" -> (() => ForestCfcm.run(spark, g, 2, cfg)),
+                                                 "SCHURCFCM" -> (() => SchurCfcm.run(spark, g, 2, cfg)))) {
+      val (e, jobs) = countJobs(intercept[IllegalArgumentException](run()))
+      assert(e.getMessage.contains("not connected") && e.getMessage.contains("3 of its 7 nodes"), s"$name: ${e.getMessage}")
+      assert(jobs == 0, s"$name: $jobs jobs")
+    }
+  }
+
   test("budget scales with 1/ε² and is monotone") {
     assert(ForestSampler.budget(0.3, 1000) < ForestSampler.budget(0.2, 1000))
     assert(ForestSampler.budget(0.2, 1000) < ForestSampler.budget(0.15, 1000))
@@ -113,17 +125,29 @@ class SamplerSpec extends SparkSpec {
   }
 
   test("accumulator merge is associative on real folds") {
-    val ctx = ForestContext(karate, Set(2), Array(Array.fill(karate.n)(1.0)), wantDiag = true)
-    def fold(seed: Long, k: Int): ForestAcc = {
-      val acc = new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT)
-      val scr = new ForestScratch(ctx)
-      val rng = new java.util.SplittableRandom(seed)
-      for (_ <- 0 until k) ForestStats.fold(ctx, Wilson.sample(ctx.g, ctx.isRoot, ctx.numRoots, rng), acc, scr)
-      acc
+    val ones = Array(Array.fill(karate.n)(1.0))
+    for (ctx <- Seq(ForestContext(karate, Set(2), ones, wantDiag = true),
+                    ForestContext(karate, Set(2, 0, 33), ones, wantDiag = true, Array(0, 33)))) {
+      /** 50 forests of each seed, folded into one accumulator. */
+      def fold(seeds: Long*): ForestAcc = {
+        val acc = new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT)
+        val scr = new ForestScratch(ctx)
+        for (seed <- seeds) {
+          val rng = new java.util.SplittableRandom(seed)
+          for (_ <- 0 until 50) ForestStats.fold(ctx, Wilson.sample(ctx.g, ctx.isRoot, ctx.numRoots, rng), acc, scr)
+        }
+        acc
+      }
+      val merged1 = fold(1).merge(fold(2)).merge(fold(3))
+      val merged2 = fold(1).merge(fold(2).merge(fold(3)))
+      assert(maxAbsDiff(merged1.diagSum, merged2.diagSum) < 1e-9)
+      assert(merged1.count == 150 && merged2.count == 150)
+      if (ctx.numT > 0) {
+        val all = fold(1, 2, 3).rootCnt
+        assert(all.exists(_ > 0))
+        assert(java.util.Arrays.equals(merged1.rootCnt, all), "(a ∪ b) ∪ c")
+        assert(java.util.Arrays.equals(merged2.rootCnt, all), "a ∪ (b ∪ c)")
+      }
     }
-    val merged1 = fold(1, 50).merge(fold(2, 50)).merge(fold(3, 50))
-    val merged2 = fold(1, 50).merge(fold(2, 50).merge(fold(3, 50)))
-    assert(maxAbsDiff(merged1.diagSum, merged2.diagSum) < 1e-9)
-    assert(merged1.count == 150 && merged2.count == 150)
   }
 }
