@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.Fanout
-import repro.graph.{CsrGraph, GraphOps}
+import repro.graph.CsrGraph
 import repro.linalg.{Cg, Jl}
 
 /** APPROXGREEDY — the state-of-the-art baseline (Li et al., WWW'19;
@@ -42,9 +42,7 @@ object ApproxGreedy {
   private final val CgTol = 1e-6
 
   def run(spark: SparkSession, g: CsrGraph, k: Int, eps: Double, seed: Long = 1234): Result = {
-    Greedy.requireK(k, g.n)
-    g.requireNoIsolatedNode()
-    GraphOps.requireConnected(g)
+    Greedy.requireInput(g, k)
     val n = g.n
     val w = width(eps, n)
     val sc = spark.sparkContext
@@ -130,7 +128,7 @@ object ApproxGreedy {
 
       val picks = Greedy.run(k, first) { (s, i) =>
         val Seq(den, num) = sumSqOfSolves(s, Seq((seed + 1000 * i, true), (seed + 1000 * i + 500, false)))
-        Array.tabulate(n)(u => num(u) / math.max(den(u), 1e-300))
+        Array.tabulate(n)(u => Greedy.delta(num(u), den(u)))
       }
       Result(picks, solves, cgIters)
     } finally bcG.destroy()

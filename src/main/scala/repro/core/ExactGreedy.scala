@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CsrGraph, GraphOps}
+import repro.graph.CsrGraph
 import repro.linalg.Dense
 
 /** EXACT greedy baseline (Section V-A): greedy CFCM with exact marginal
@@ -19,9 +19,7 @@ object ExactGreedy {
   final case class Result(picks: Seq[Int], traces: Seq[Double])
 
   def run(g: CsrGraph, k: Int): Result = {
-    Greedy.requireK(k, g.n)
-    g.requireNoIsolatedNode()
-    GraphOps.requireConnected(g)
+    Greedy.requireInput(g, k)
     val n = g.n
     // First pick: argmin of diag(L†) — Eq. (4) — ties to the lowest id.
     val first = Greedy.argmax(Cfcc.pseudoinverseDiag(g).map(-_), Set.empty)
@@ -44,7 +42,7 @@ object ExactGreedy {
       val sz = keep.length
       val delta = Array.fill(n)(Double.NegativeInfinity)
       var j = 0
-      while (j < sz) { delta(keep(j)) = Dense.colNormSq(m, sz, j) / Dense.get(m, sz, j, j); j += 1 }
+      while (j < sz) { delta(keep(j)) = Greedy.delta(Dense.colNormSq(m, sz, j), Dense.get(m, sz, j, j)); j += 1 }
       delta
     }
     dropPicked(picks.toSet)

@@ -68,12 +68,13 @@ object ForestCfcm {
     Result(picks, forests)
   }
 
-  /** The run body FORESTCFCM and SCHURCFCM share: [[firstPick]], then
-    * [[Greedy.run]] over `delta`. Returns the picks and the forests sampled.
+  /** The run body FORESTCFCM and SCHURCFCM share: [[Greedy.requireInput]],
+    * [[firstPick]], then [[Greedy.run]] over `delta`. Returns the picks and
+    * the forests sampled.
     */
   private[core] def greedy(spark: SparkSession, g: CsrGraph, k: Int, cfg: Config)
                           (delta: (Set[Int], Int) => DeltaEstimates): (Seq[Int], Long) = {
-    Greedy.requireK(k, g.n)
+    Greedy.requireInput(g, k)
     val (first, f0) = firstPick(spark, g, cfg)
     var forests = f0
     val picks = Greedy.run(k, first) { (s, i) =>

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.{CsrGraph, GraphOps}
+
 /** The greedy loop of all four greedy algorithms (FORESTCFCM, SCHURCFCM,
   * APPROXGREEDY and EXACT): a first pick, then k−1 picks, each the argmax of
   * that iteration's Δ estimates.
@@ -21,11 +23,29 @@ object Greedy {
     picked.toSeq
   }
 
-  /** Fail unless `k` picks fit an n-node graph: 1 ≤ k < n, since S must
-    * leave at least one node outside it.
+  /** The one input check of a greedy run of `k` picks on `g`, made once, first
+    * (sampling phases do not re-check): 1 ≤ k < n, so that S leaves a node
+    * outside it; no node of degree 0 (usually a gap in the ids); and a
+    * connected graph. Otherwise `L_{-S}` is singular or a walk has no root.
     */
-  def requireK(k: Int, n: Int): Unit =
+  def requireInput(g: CsrGraph, k: Int): Unit = {
+    val n = g.n
     require(k >= 1 && k < n, s"k = $k picks need 1 ≤ k < n = $n")
+    val u = (0 until n).indexWhere(g.degree(_) == 0)
+    require(u < 0,
+      s"node $u of $n has degree 0: node ids must be dense (0 until n, no gaps); " +
+      "GraphOps.largestComponent relabels an edge list that way")
+    val reached = GraphOps.bfs(g, Seq(0)).count(_ >= 0)
+    require(reached == n,
+      s"graph is not connected: $reached of its $n nodes are reachable from node 0; " +
+      "GraphOps.largestComponent keeps the largest component")
+  }
+
+  /** Δ(u, S) = `num / den`, where `num` estimates ‖L_{-S}^{-1} e_u‖² and `den`
+    * estimates (L_{-S}^{-1})_uu (Eq. 5); `den` is guarded at 1e-300 against an
+    * estimate that is not positive.
+    */
+  def delta(num: Double, den: Double): Double = num / math.max(den, 1e-300)
 
   /** First pick from Lemma 3.5 scores `x` taken around a reference node s,
     * whose own score is `x_s ≡ 0` whatever `x(s)` holds: the argmin of x,

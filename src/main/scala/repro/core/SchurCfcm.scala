@@ -185,7 +185,7 @@ object SchurCfcm {
           j += 1
         }
         den(u) = z; num(u) = nsq
-        delta(u) = nsq / math.max(z, 1e-300)
+        delta(u) = Greedy.delta(nsq, z)
       }
     }
     var t2 = 0
@@ -196,7 +196,7 @@ object SchurCfcm {
       var j = 0
       while (j < w) { val y = a(j)(t2); nsq += y * y; j += 1 }
       den(t) = z; num(t) = nsq
-      delta(t) = nsq / math.max(z, 1e-300)
+      delta(t) = Greedy.delta(nsq, z)
       t2 += 1
     }
     ForestCfcm.DeltaEstimates(delta, den, num, acc.count)
@@ -205,9 +205,10 @@ object SchurCfcm {
   /** Full SCHURCFCM greedy (Algorithm 5): FORESTCFCM's run with SCHURDELTA
     * over the residual auxiliary root set T \ S as its Δ; phase 1 is
     * FORESTCFCM's (no Schur — see the paper's remark before Theorem 4.7).
+    * T is selected at the first SCHURDELTA, after the run's input check.
     */
   def run(spark: SparkSession, g: CsrGraph, k: Int, cfg: ForestCfcm.Config): Result = {
-    val t = selectT(g)
+    lazy val t = selectT(g)
     val (picks, forests) = ForestCfcm.greedy(spark, g, k, cfg)(schurDelta(spark, g, _, t, cfg, _))
     Result(picks, forests)
   }

@@ -15,7 +15,7 @@ import repro.graph.{CsrGraph, GraphOps}
   *
   * @param g         graph
   * @param isRoot    root-set membership (S, or S ∪ T for SCHURDELTA)
-  * @param numRoots  number of roots
+  * @param roots     the root set, ascending
   * @param bfsParent BFS-tree parent (-1 at roots)
   * @param bfsOrder  nodes in BFS order from the root set
   * @param sources   `nsrc` weight rows over all n nodes (zero at roots);
@@ -31,7 +31,7 @@ import repro.graph.{CsrGraph, GraphOps}
 final class ForestContext(
     val g: CsrGraph,
     val isRoot: Array[Boolean],
-    val numRoots: Int,
+    val roots: Array[Int],
     val bfsParent: Array[Int],
     val bfsOrder: Array[Int],
     val sources: Array[Array[Double]],
@@ -41,32 +41,33 @@ final class ForestContext(
 ) extends Serializable {
   def n: Int = g.n
   def nsrc: Int = sources.length
+  def numRoots: Int = roots.length
   def wantRoots: Boolean = numT > 0
 }
 
 object ForestContext {
 
   /** Build a context for root set `roots` on graph `g`. Every node needs a
-    * neighbor, since a random walk from an isolated node has nowhere to go,
-    * and a path to a root, so the graph must be connected.
+    * path to a root: the greedy runs check their graph once
+    * ([[repro.core.Greedy.requireInput]]), and here the BFS tree fails on
+    * a node that no root reaches.
     */
   def apply(g: CsrGraph, roots: Set[Int], sources: Array[Array[Double]],
             wantDiag: Boolean, tList: Array[Int] = Array.empty): ForestContext = {
-    g.requireNoIsolatedNode()
-    GraphOps.requireConnected(g)
+    val sorted = roots.toArray.sorted
     val isRoot = new Array[Boolean](g.n)
-    roots.foreach(isRoot(_) = true)
-    val (order, parent) = GraphOps.bfsTree(g, roots.toSeq.sorted)
+    sorted.foreach(isRoot(_) = true)
+    val (order, parent) = GraphOps.bfsTree(g, sorted)
     val tIndex = Array.fill(g.n)(-1)
     tList.zipWithIndex.foreach { case (t, i) => tIndex(t) = i }
     // Source rows must be grounded at the roots: the estimators treat root
     // voltages as 0 and root nodes carry no source weight.
     val grounded = sources.map { row =>
       val r = row.clone()
-      roots.foreach(r(_) = 0.0)
+      sorted.foreach(r(_) = 0.0)
       r
     }
-    new ForestContext(g, isRoot, roots.size, parent, order, grounded, wantDiag, tIndex, tList.length)
+    new ForestContext(g, isRoot, sorted, parent, order, grounded, wantDiag, tIndex, tList.length)
   }
 }
 
@@ -88,12 +89,13 @@ object ForestContext {
   * in slice order, counting their rows into the dense [[rootCnt]].
   */
 @DefaultSerializer(classOf[ForestAcc.Wire])
-final class ForestAcc(val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int)
-    extends Serializable {
+final class ForestAcc private (val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int,
+                               /** Σ_forests φ_j(u), flat nsrc×n, j-major (`j·n + u`). */
+                               val phiSum: Array[Double]) extends Serializable {
+  /** An empty accumulator of the given shape. */
+  def this(nsrc: Int, n: Int, wantDiag: Boolean, numT: Int) = this(nsrc, n, wantDiag, numT, new Array[Double](nsrc * n))
   require(numT <= Short.MaxValue, s"|T| = $numT does not fit a Short root row")
   var count: Long = 0L
-  /** Σ_forests φ_j(u), flat nsrc×n, j-major (`j·n + u`). */
-  val phiSum: Array[Double] = new Array[Double](nsrc * n)
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
   /** Always empty: nothing computes Σ_forests D(u)². The member stays only
@@ -229,11 +231,11 @@ object ForestAcc {
     }
 
     override def read(kryo: Kryo, in: Input, cls: Class[ForestAcc]): ForestAcc = {
-      val a = new ForestAcc(in.readVarInt(true), in.readVarInt(true), in.readBoolean(), in.readVarInt(true))
-      a.count = in.readVarLong(true)
+      val (nsrc, n, wantDiag, numT) = (in.readVarInt(true), in.readVarInt(true), in.readBoolean(), in.readVarInt(true))
+      val count = in.readVarLong(true)
+      val a = new ForestAcc(nsrc, n, wantDiag, numT, in.readDoubles(nsrc * n))
+      a.count = count
       var i = 0
-      while (i < a.phiSum.length) { a.phiSum(i) = in.readDouble(); i += 1 }
-      i = 0
       while (i < a.diagSum.length) { a.diagSum(i) = in.readVarLong(false).toDouble; i += 1 }
       a.rowsLen = in.readVarInt(true)
       a.rows = new Array[Short](a.rowsLen)
@@ -252,8 +254,6 @@ final class ForestScratch(ctx: ForestContext) {
   val n: Int = ctx.n
   /** The context's source rows, node-major. */
   val src: Array[Double] = ForestScratch.nodeMajor(ctx.sources, n)
-  /** The roots, ascending. */
-  val roots: Array[Int] = ForestScratch.roots(ctx.isRoot, ctx.numRoots)
   /** Subtree sums of the source rows. */
   val subW: Array[Double] = new Array[Double](ctx.nsrc * n)
   /** Voltage estimates of the current forest. */
@@ -268,7 +268,7 @@ final class ForestScratch(ctx: ForestContext) {
   val next: Array[Int] = new Array[Int](n)
 }
 
-/** The set-up loops of [[ForestScratch]]. They live in methods: a loop in a
+/** The set-up loop of [[ForestScratch]]. It lives in a method: a loop in a
   * field initializer runs with `this` on the JVM operand stack, where
   * HotSpot cannot compile it on-stack, so each task would run it
   * interpreted.
@@ -285,14 +285,6 @@ object ForestScratch {
       while (u < n) { a(u * nsrc + j) = row(u); u += 1 }
       j += 1
     }
-    a
-  }
-
-  private def roots(isRoot: Array[Boolean], count: Int): Array[Int] = {
-    val a = new Array[Int](count)
-    var i = 0
-    var u = 0
-    while (u < isRoot.length) { if (isRoot(u)) { a(i) = u; i += 1 }; u += 1 }
     a
   }
 }
@@ -340,8 +332,8 @@ object ForestStats {
       val rows = acc.rowBuf
       var timer = 0
       var i = 0
-      while (i < scr.roots.length) {
-        val r = scr.roots(i)
+      while (i < ctx.roots.length) {
+        val r = ctx.roots(i)
         tin(r) = timer; next(r) = timer + 1; timer += size(r)
         if (wantRoots) rows(row + r) = -1
         i += 1

@@ -32,18 +32,6 @@ final class CsrGraph(val n: Int, val off: Array[Int], val adj: Array[Int]) exten
     best
   }
 
-  /** Fail unless every node has a neighbor. A node of degree 0 is usually a
-    * gap in the ids; it leaves `L_{-S}` singular and gives a random walk
-    * nowhere to go.
-    */
-  def requireNoIsolatedNode(): Unit = {
-    var u = 0
-    while (u < n && degree(u) > 0) u += 1
-    require(u == n,
-      s"node $u of $n has degree 0: node ids must be dense (0 until n, no gaps); " +
-      "GraphOps.largestComponent relabels an edge list that way")
-  }
-
   /** Degrees as an array (copy). */
   def degrees: Array[Int] = Array.tabulate(n)(degree)
 

@@ -53,38 +53,14 @@ object GraphOps {
     CsrGraph.fromEdges(next, kept)
   }
 
-  /** BFS distances (in hops) from a set of sources; unreachable = -1. */
-  def bfs(g: CsrGraph, sources: Iterable[Int]): Array[Int] = {
-    val dist = Array.fill(g.n)(-1)
-    val queue = new java.util.ArrayDeque[Integer]()
-    sources.foreach { s => dist(s) = 0; queue.add(s) }
-    while (!queue.isEmpty) {
-      val u: Int = queue.poll()
-      var i = g.off(u)
-      while (i < g.off(u + 1)) {
-        val v = g.adj(i)
-        if (dist(v) < 0) { dist(v) = dist(u) + 1; queue.add(v) }
-        i += 1
-      }
-    }
-    dist
-  }
-
-  /** Fail unless every node is reachable from node 0: on a disconnected
-    * graph `L_{-S}` is singular whenever some component holds no node of S.
+  /** The one BFS loop: visits `sources` in the order given (a repeated
+    * source once), then FIFO, each node's neighbors in CSR order. Returns
+    * the visit order (its first `reached` entries hold the reached nodes),
+    * each node's BFS-tree parent (-1 for a source, -2 if unreached) and
+    * `reached`.
     */
-  def requireConnected(g: CsrGraph): Unit = {
-    val reached = bfs(g, Seq(0)).count(_ >= 0)
-    require(reached == g.n,
-      s"graph is not connected: $reached of its ${g.n} nodes are reachable from node 0; " +
-      "GraphOps.largestComponent keeps the largest component")
-  }
-
-  /** Nodes in BFS order from a source set (the order Algorithms 2–5 call
-    * `L_BFS`), together with each node's BFS-tree parent (-1 for sources).
-    */
-  def bfsTree(g: CsrGraph, sources: Iterable[Int]): (Array[Int], Array[Int]) = {
-    val parent = Array.fill(g.n)(-2) // -2 unvisited, -1 source
+  private def search(g: CsrGraph, sources: Iterable[Int]): (Array[Int], Array[Int], Int) = {
+    val parent = Array.fill(g.n)(-2)
     val order = new Array[Int](g.n)
     var tail = 0
     sources.foreach { s => if (parent(s) == -2) { parent(s) = -1; order(tail) = s; tail += 1 } }
@@ -98,7 +74,25 @@ object GraphOps {
         i += 1
       }
     }
-    require(tail == g.n, s"graph not connected from sources: reached $tail of ${g.n}")
+    (order, parent, tail)
+  }
+
+  /** BFS distances (in hops) from a set of sources; unreachable = -1. */
+  def bfs(g: CsrGraph, sources: Iterable[Int]): Array[Int] = {
+    val (order, parent, reached) = search(g, sources)
+    val dist = Array.fill(g.n)(-1)
+    // a parent precedes its children in BFS order
+    for (k <- 0 until reached) { val u = order(k); dist(u) = if (parent(u) < 0) 0 else dist(parent(u)) + 1 }
+    dist
+  }
+
+  /** Nodes in BFS order from a source set (the order Algorithms 2–5 call
+    * `L_BFS`), together with each node's BFS-tree parent (-1 for sources).
+    * Fails unless the sources reach every node.
+    */
+  def bfsTree(g: CsrGraph, sources: Iterable[Int]): (Array[Int], Array[Int]) = {
+    val (order, parent, reached) = search(g, sources)
+    require(reached == g.n, s"graph not connected from sources: reached $reached of ${g.n}")
     (order, parent)
   }
 

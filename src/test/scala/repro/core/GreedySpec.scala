@@ -1,8 +1,9 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.graph.{CsrGraph, GraphGen}
 
-class GreedySpec extends AnyFunSuite {
+class GreedySpec extends SparkSpec {
 
   test("argmax breaks ties to the lowest id, never re-picks a node and ignores −∞") {
     val ninf = Double.NegativeInfinity
@@ -30,5 +31,35 @@ class GreedySpec extends AnyFunSuite {
     }
     assert(picks == Seq(4, 2, 5, 7))
     assert(seen.result() == Seq((Set(4), 1), (Set(4, 2), 2), (Set(4, 2, 5), 3)))
+  }
+
+  test("delta is num / den, with den guarded at 1e-300") {
+    assert(Greedy.delta(6.0, 3.0) == 2.0)
+    assert(Greedy.delta(2.0, 0.0) == 2.0 / 1e-300)
+    assert(Greedy.delta(2.0, -1.0) == 2.0 / 1e-300)
+  }
+
+  test("every greedy run rejects a bad k, an isolated node or a disconnected graph before any Spark job") {
+    val karate = CsrGraph.fromDataFrame(GraphGen.karate(spark))
+    // id 3 never appears in the edge list: degree 0
+    val gap = CsrGraph.fromDataFrame(spark.createDataFrame(Seq((0, 1), (1, 2), (2, 4), (4, 0))).toDF("src", "dst"))
+    // two triangles joined by nothing, and a pendant node on the second
+    val split = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    val cfg = ForestCfcm.Config(eps = 0.5)
+    val runs = Seq[(String, (CsrGraph, Int) => Any)](
+      "EXACT" -> ((g, k) => ExactGreedy.run(g, k)),
+      "APPROXGREEDY" -> ((g, k) => ApproxGreedy.run(spark, g, k, eps = 0.5)),
+      "FORESTCFCM" -> ((g, k) => ForestCfcm.run(spark, g, k, cfg)),
+      "SCHURCFCM" -> ((g, k) => SchurCfcm.run(spark, g, k, cfg)))
+    val inputs = Seq[(String, CsrGraph, Int, Seq[String])](
+      ("k = 0", karate, 0, Seq("k = 0", "n = 34")),
+      ("k = n", karate, 34, Seq("k = 34", "n = 34")),
+      ("an isolated node", gap, 2, Seq("node 3 ", "dense")),
+      ("a disconnected graph", split, 2, Seq("not connected", "3 of its 7 nodes")))
+    for ((algo, run) <- runs; (input, g, k, words) <- inputs) {
+      val (e, jobs) = countJobs(intercept[IllegalArgumentException](run(g, k)))
+      assert(words.forall(e.getMessage.contains), s"$algo, $input: ${e.getMessage}")
+      assert(jobs == 0, s"$algo, $input: $jobs jobs")
+    }
   }
 }

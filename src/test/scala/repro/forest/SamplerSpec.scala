@@ -118,6 +118,21 @@ class SamplerSpec extends SparkSpec {
     }
   }
 
+  test("a sampling phase called directly on a disconnected graph fails on the driver before any Spark job") {
+    // two triangles joined by nothing, and a pendant node on the second;
+    // node 5 has the highest degree
+    val g = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    val cfg = ForestCfcm.Config(eps = 0.5)
+    for ((name, phase, reached) <- Seq[(String, () => Any, Int)](
+           ("firstPick", () => ForestCfcm.firstPick(spark, g, cfg), 4),
+           ("forestDelta", () => ForestCfcm.forestDelta(spark, g, Set(0), cfg, 1), 3),
+           ("schurDelta", () => SchurCfcm.schurDelta(spark, g, Set(0), Array(1), cfg, 1), 3))) {
+      val (e, jobs) = countJobs(intercept[IllegalArgumentException](phase()))
+      assert(e.getMessage.contains(s"reached $reached of 7"), s"$name: ${e.getMessage}")
+      assert(jobs == 0, s"$name: $jobs jobs")
+    }
+  }
+
   test("budget scales with 1/ε² and is monotone") {
     assert(ForestSampler.budget(0.3, 1000) < ForestSampler.budget(0.2, 1000))
     assert(ForestSampler.budget(0.2, 1000) < ForestSampler.budget(0.15, 1000))

@@ -44,6 +44,22 @@ class GraphOpsSpec extends SparkSpec {
     }
   }
 
+  test("bfsTree visits the sources in the order given, a repeated one once, then FIFO in CSR order") {
+    // adjacency: 0:[1,2] 1:[0,3] 2:[0,3] 3:[1,2,4] 4:[3,5] 5:[4]
+    val g = CsrGraph.fromEdges(6, Seq((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+    val (order, parent) = GraphOps.bfsTree(g, Seq(2, 0, 2))
+    assert(order.toSeq == Seq(2, 0, 3, 1, 4, 5))
+    assert(parent.toSeq == Seq(-1, 0, -1, 2, 3, 4))
+    assert(GraphOps.bfs(g, Seq(2, 0, 2)).toSeq == Seq(0, 1, 0, 1, 2, 3))
+  }
+
+  test("bfs marks unreached nodes -1 and bfsTree fails, saying how many nodes it reached") {
+    val g = CsrGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)))
+    assert(GraphOps.bfs(g, Seq(0)).toSeq == Seq(0, 1, 1, -1, -1, -1, -1))
+    val e = intercept[IllegalArgumentException](GraphOps.bfsTree(g, Seq(0)))
+    assert(e.getMessage.contains("reached 3 of 7"), e.getMessage)
+  }
+
   test("diameterExact on known graphs") {
     assert(diameterExact(karate) == 5)
     val grid = CsrGraph.fromDataFrame(GraphGen.grid2d(spark, 4, 6))
