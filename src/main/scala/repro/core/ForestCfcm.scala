@@ -40,7 +40,7 @@ object ForestCfcm {
     val ctx = ForestContext(g, Set(s), Array(ones), wantDiag = true)
     val acc = ForestSampler.run(spark, ctx, ForestSampler.budget(cfg.eps, g.n, cfg.r0), cfg.seed)
     val x = Array.tabulate(g.n) { u =>
-      if (u == s) 0.0 else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phiSum(u) / acc.count)
+      if (u == s) 0.0 else acc.diagSum(u) / acc.count - 2.0 / g.n * (acc.phi(0, u) / acc.count)
     }
     (x, acc.count)
   }

@@ -178,7 +178,7 @@ object SchurCfcm {
         var nsq = 0.0
         var j = 0
         while (j < w) {
-          var y = acc.phiSum(j * n + u) / cnt
+          var y = acc.phi(j, u) / cnt
           var p = 0
           while (p < ii.length) { y += a(j)(ii(p)) * vv(p); p += 1 }
           nsq += y * y

@@ -8,9 +8,11 @@ import repro.Fanout
   * The paper's sampling loops (Algorithms 2–5, Lines "for r' = 1.. do for
   * i = 1..2^{r'} do in parallel") map to one Spark job
   * ([[Fanout.foldSlices]]) per sampling phase over slices of the forest
-  * indices against a broadcast [[ForestContext]]; every slice folds its
-  * forests into one [[ForestAcc]] and ships it (one root row per forest),
-  * and the driver merges the slices' accumulators into one in slice order.
+  * indices against a broadcast [[ForestContext]]: slice i of p folds the
+  * forests `[i·N/p, (i+1)·N/p)` into one [[ForestAcc]] and ships it (one
+  * root row per forest), and the driver merges the slices' accumulators
+  * into one in slice order, so the sums do not depend on which task ends
+  * first.
   * The paper's empirical-Bernstein stop (Lemma 3.6) is not applied: at the
   * practical budget it never fired (DESIGN.md), so every phase samples its
   * whole budget.

@@ -90,12 +90,18 @@ object ForestContext {
   */
 @DefaultSerializer(classOf[ForestAcc.Wire])
 final class ForestAcc private (val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int,
-                               /** Σ_forests φ_j(u), flat nsrc×n, j-major (`j·n + u`). */
+                               /** Σ_forests φ_j(u), flat n×nsrc, node-major (`u·nsrc + j`);
+                                 * [[phi]] reads one entry.
+                                 */
                                val phiSum: Array[Double]) extends Serializable {
   /** An empty accumulator of the given shape. */
   def this(nsrc: Int, n: Int, wantDiag: Boolean, numT: Int) = this(nsrc, n, wantDiag, numT, new Array[Double](nsrc * n))
   require(numT <= Short.MaxValue, s"|T| = $numT does not fit a Short root row")
   var count: Long = 0L
+
+  /** Σ_forests φ_j(u). */
+  def phi(j: Int, u: Int): Double = phiSum(u * nsrc + j)
+
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
   /** Always empty: nothing computes Σ_forests D(u)². The member stays only
@@ -205,6 +211,9 @@ object ForestAcc {
     * asked for varints), so [[write]] sends the integer-valued parts one
     * varint at a time: each diagonal sum, an integer within a task, zigzag
     * encoded, and each root-row entry as `t + 1`, one byte while |T| < 128.
+    * The φ sums go through Kryo's own `writeDoubles`/`readDoubles`: with
+    * Spark's default `spark.kryo.unsafe = true` those are one bulk memory
+    * copy each.
     */
   final class Wire extends Serializer[ForestAcc] {
 
@@ -374,7 +383,8 @@ object ForestStats {
       }
     }
 
-    // --- voltage estimates per source row: integrate currents down the BFS tree
+    // --- voltage estimates per source row: integrate currents down the BFS
+    // tree, adding each voltage to its sum as it is computed
     val phi = scr.phi; val phiSum = acc.phiSum
     k = 0
     while (k < ctx.bfsOrder.length) {
@@ -391,21 +401,11 @@ object ForestStats {
           if (fwd) t += subW(uo + j)
           if (back) t -= subW(bo + j)
           phi(uo + j) = t
+          phiSum(uo + j) += t
           j += 1
         }
       }
       k += 1
-    }
-    // --- per node, in node order: the voltages into the j-major sums (one
-    // write stream per row)
-    var u = 0
-    while (u < n) {
-      if (!isRoot(u)) {
-        val uo = u * nsrc
-        var j = 0
-        while (j < nsrc) { phiSum(j * n + u) += phi(uo + j); j += 1 }
-      }
-      u += 1
     }
   }
 }

@@ -61,7 +61,7 @@ class ForestCfcmSpec extends SparkSpec {
       if (s(u)) assert(est.delta(u) == Double.NegativeInfinity)
       else {
         val den = acc.diagSum(u) / cnt
-        val num = (0 until w).map { j => val y = acc.phiSum(j * g.n + u) / cnt; y * y }.sum
+        val num = (0 until w).map { j => val y = acc.phi(j, u) / cnt; y * y }.sum
         assert(math.abs(est.den(u) - den) < 1e-12, s"den($u)=${est.den(u)} vs $den")
         assert(math.abs(est.numSq(u) - num) < 1e-12, s"num($u)=${est.numSq(u)} vs $num")
         assert(math.abs(est.delta(u) - num / den) < 1e-12, s"delta($u)=${est.delta(u)} vs ${num / den}")

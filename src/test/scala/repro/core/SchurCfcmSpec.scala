@@ -117,7 +117,7 @@ class SchurCfcmSpec extends SparkSpec {
     for ((v, i) <- u.zipWithIndex) {
       z(v) = acc.diagSum(v) / cnt +
         (for (p <- 0 until nt; q <- 0 until nt) yield f(i)(p) * sInv(p * nt + q) * f(i)(q)).sum
-      for (j <- 0 until w) y(j)(v) = acc.phiSum(j * n + v) / cnt + (0 until nt).map(t => a(j)(t) * f(i)(t)).sum
+      for (j <- 0 until w) y(j)(v) = acc.phi(j, v) / cnt + (0 until nt).map(t => a(j)(t) * f(i)(t)).sum
     }
     for ((t, c) <- tList.zipWithIndex) {
       z(t) = sInv(c * nt + c)

@@ -51,7 +51,7 @@ class EstimatorSpec extends SparkSpec {
       val acc = foldMany(ctx, 30000, seed = 8)
       val (keep, inv) = exactInv(g, s)
       for ((u, i) <- keep.zipWithIndex) {
-        val est = acc.phiSum(u) / acc.count
+        val est = acc.phi(0, u) / acc.count
         var ex = 0.0 // 1ᵀ L_{-S}^{-1} e_u
         for (j <- keep.indices) ex += Dense.get(inv, keep.length, j, i)
         assert(math.abs(est - ex) < math.max(0.1 * ex, 0.6), s"phi1($u): est=$est exact=$ex")
@@ -69,7 +69,7 @@ class EstimatorSpec extends SparkSpec {
     val (keep, inv) = exactInv(g, s)
     val srcIdx = keep.indexOf(src)
     for ((u, i) <- keep.zipWithIndex) {
-      val est = acc.phiSum(u) / acc.count
+      val est = acc.phi(0, u) / acc.count
       val ex = Dense.get(inv, keep.length, srcIdx, i)
       assert(math.abs(est - ex) < 0.05, s"Φ_{$src,S}($u): est=$est exact=$ex")
     }
@@ -86,7 +86,7 @@ class EstimatorSpec extends SparkSpec {
     for ((u, i) <- keep.zipWithIndex) {
       var ex = 0.0
       for ((v, j) <- keep.zipWithIndex) ex += w(v) * Dense.get(inv, keep.length, j, i)
-      val est = acc.phiSum(u) / acc.count
+      val est = acc.phi(0, u) / acc.count
       assert(math.abs(est - ex) < math.max(0.12 * math.abs(ex), 0.35), s"u=$u est=$est exact=$ex")
     }
   }
@@ -103,7 +103,7 @@ class EstimatorSpec extends SparkSpec {
       val w = if (j == 0) w0 else w1
       var ex = 0.0
       for ((v, vi) <- keep.zipWithIndex) ex += w(v) * Dense.get(inv, keep.length, vi, i)
-      val est = acc.phiSum(j * g.n + u) / acc.count
+      val est = acc.phi(j, u) / acc.count
       assert(math.abs(est - ex) < math.max(0.12 * math.abs(ex), 0.5), s"row $j u=$u")
     }
   }

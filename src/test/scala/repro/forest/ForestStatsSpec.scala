@@ -78,7 +78,7 @@ class ForestStatsSpec extends SparkSpec {
         if (parent(u) == b) t += subW(j)(u)
         if (!ctx.isRoot(b) && parent(b) == u) t -= subW(j)(b)
         phi(u) = t
-        acc.phiSum(j * n + u) += t
+        acc.phiSum(u * ctx.nsrc + j) += t
       }
     }
     if (ctx.wantRoots) for (u <- f.order) {
@@ -107,6 +107,27 @@ class ForestStatsSpec extends SparkSpec {
       assert(ref.rootCnt.exists(_ > 0) && ref.phiSum.exists(_ != 0.0))
       assert(wantDiag == ref.diagSum.exists(_ != 0.0))
       assertSame(acc, ref, name)
+    }
+  }
+
+  test("the one-pass fold's φ sums equal a two-pass reference bit for bit, with and without T") {
+    val noT = ForestContext(grid, Set(0, 1023), Jl.materialize(17, 3, grid.n), wantDiag = true)
+    for ((name, ctx) <- Seq("numT = 3" -> gridCtx(wantDiag = true), "numT = 0" -> noT,
+                            "BA, numT = |selectT|" -> baCtx(wantDiag = false))) {
+      val acc = foldRange(ctx, 9, 0, 12)
+      // pass 1: the fold leaves one forest's voltages in the scratch; pass 2
+      // adds them to the sums node by node
+      val ref = newAcc(ctx)
+      val scr = new ForestScratch(ctx)
+      for (i <- 0L until 12L) {
+        ForestStats.fold(ctx, forest(ctx, 9, i), newAcc(ctx), scr)
+        for (u <- 0 until ctx.n if !ctx.isRoot(u); j <- 0 until ctx.nsrc)
+          ref.phiSum(u * ctx.nsrc + j) += scr.phi(u * ctx.nsrc + j)
+      }
+      assert(acc.phiSum.exists(_ != 0.0), name)
+      assert(java.util.Arrays.equals(acc.phiSum, ref.phiSum), s"$name: phiSum")
+      for (u <- 0 until ctx.n; j <- 0 until ctx.nsrc)
+        assert(acc.phi(j, u) == acc.phiSum(u * ctx.nsrc + j), s"$name: phi($j, $u)")
     }
   }
 
