@@ -9,7 +9,8 @@ import repro.graph.{CsrGraph, GraphOps}
 object Greedy {
 
   /** Picks `first`, then for i = 1 until k the [[argmax]] of `delta(S, i)`,
-    * where S holds the picks so far.
+    * where S holds the picks so far. Fails if an iteration has no node to
+    * pick: every Δ outside S is −∞ or NaN.
     *
     * @param delta Δ estimate per node, indexed by node id
     */
@@ -17,7 +18,11 @@ object Greedy {
     val picked = scala.collection.mutable.LinkedHashSet(first)
     var i = 1
     while (i < k) {
-      picked += argmax(delta(picked.toSet, i), picked)
+      val u = argmax(delta(picked.toSet, i), picked)
+      if (u < 0)
+        throw new IllegalStateException(
+          s"greedy iteration $i of $k has no pick: every Δ outside S (|S| = ${picked.size}) is −∞ or NaN")
+      picked += u
       i += 1
     }
     picked.toSeq
@@ -62,7 +67,8 @@ object Greedy {
   }
 
   /** The node outside `picked` with the largest Δ, ties to the lowest id; a
-    * node whose Δ is −∞ is never chosen (−1 if every node is picked or −∞).
+    * node whose Δ is −∞ or NaN is never chosen (−1 if every node is picked,
+    * −∞ or NaN).
     */
   def argmax(delta: Array[Double], picked: scala.collection.Set[Int]): Int = {
     var best = -1; var bestD = Double.NegativeInfinity

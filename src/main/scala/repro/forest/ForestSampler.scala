@@ -12,7 +12,7 @@ import repro.Fanout
   * forests `[i·N/p, (i+1)·N/p)` into one [[ForestAcc]] and ships it (one
   * root row per forest), and the driver merges the slices' accumulators
   * into one in slice order, so the sums do not depend on which task ends
-  * first.
+  * first, and integrates the merged current sums into voltage sums.
   * The paper's empirical-Bernstein stop (Lemma 3.6) is not applied: at the
   * practical budget it never fired (DESIGN.md), so every phase samples its
   * whole budget.
@@ -26,7 +26,8 @@ object ForestSampler {
   def budget(eps: Double, n: Int, r0: Double = 2.0): Long =
     math.max(64L, math.ceil(r0 * math.log(math.max(3, n)) / (eps * eps)).toLong)
 
-  /** Sample `forests` forests and return their merged sums.
+  /** Sample `forests` forests and return their merged sums, integrated
+    * ([[ForestAcc.phi]] reads voltage sums).
     *
     * @param spark   session (RDD fan-out; local CSR sampling inside tasks)
     * @param ctx     phase configuration (graph, roots, sources, …)
@@ -48,7 +49,7 @@ object ForestSampler {
           ForestStats.fold(c, f, acc, scr)
         }
         acc
-      }(new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT))(_ merge _)
+      }(new ForestAcc(ctx.nsrc, ctx.n, ctx.wantDiag, ctx.numT))(_ merge _).integrate(ctx)
     } finally bcCtx.destroy()
   }
 }

@@ -11,13 +11,15 @@ import repro.graph.{CsrGraph, GraphOps}
   * (Lemma 3.3 voltages are path integrals of estimated edge currents along a
   * *fixed* path — we use the BFS tree from the root set), the source weight
   * rows (JL rows / the all-ones vector), and the auxiliary root list T for
-  * the Schur variant.
+  * the Schur variant. The integral is linear in the forests, so a task sums
+  * each node's BFS-edge current over its forests, and the driver integrates
+  * the merged sums down the BFS tree once ([[ForestAcc.integrate]]).
   *
   * @param g         graph
   * @param isRoot    root-set membership (S, or S ∪ T for SCHURDELTA)
   * @param roots     the root set, ascending
   * @param bfsParent BFS-tree parent (-1 at roots)
-  * @param bfsOrder  nodes in BFS order from the root set
+  * @param bfsOrder  nodes in BFS order from the root set, the roots first
   * @param sources   `nsrc` weight rows over all n nodes (zero at roots);
   *                  row j yields the estimator of `w_jᵀ L_{-S}^{-1} e_u`
   * @param wantDiag  estimate the diagonal `(L_{-S}^{-1})_{uu}` too. Every
@@ -74,24 +76,27 @@ object ForestContext {
 /** Mutable estimator sums over a stream of sampled forests.
   *
   * Per forest, [[ForestStats.fold]] adds:
-  *  - `φ_j(u)`: the Lemma 3.3 voltage estimate for source row j — computed by
-  *    subtree-summing `w_j` over the forest (one pass over `L_DFS`) and
-  *    integrating the per-edge current estimates along the BFS path;
+  *  - `c_j(u)`: for source row j, the Lemma 3.3 current estimate on the BFS
+  *    edge from u to its BFS parent b — computed by subtree-summing `w_j`
+  *    over the forest (one pass over `L_DFS`): `+Σ_{subtree(u)} w_j` if
+  *    π(u) = b, `−Σ_{subtree(b)} w_j` if π(b) = u, else 0;
   *  - `D(u)`: the diagonal estimate `Φ̄_{u,S}(u)` — BFS-path integration of
-  *    `1{π_a = b ∧ u ∈ subtree(a)} − 1{π_b = a ∧ u ∈ subtree(b)}` with O(1)
-  *    preorder-interval ancestor tests;
+  *    `1{π_a = b ∧ u ∈ subtree(a)} − 1{π_b = a ∧ u ∈ subtree(b)}`;
   *  - for the Schur variant, one root row: the T index of every node's tree
   *    root, from which the rooted-at-`t` counts `Ñ(ρ_u = t)` (Lemma 4.2)
   *    follow.
   *
   * A sampling task ships the accumulator it folded into ([[ForestAcc.Wire]]
   * is its Kryo form); the driver [[merge]]s the tasks' accumulators into one
-  * in slice order, counting their rows into the dense [[rootCnt]].
+  * in slice order, counting their rows into the dense [[rootCnt]], and then
+  * [[integrate]]s the current sums into the voltage sums
+  * `Σ_forests φ_j(u)` that [[phi]] reads.
   */
 @DefaultSerializer(classOf[ForestAcc.Wire])
 final class ForestAcc private (val nsrc: Int, val n: Int, val wantDiag: Boolean, val numT: Int,
-                               /** Σ_forests φ_j(u), flat n×nsrc, node-major (`u·nsrc + j`);
-                                 * [[phi]] reads one entry.
+                               /** Flat n×nsrc, node-major (`u·nsrc + j`): Σ_forests c_j(u),
+                                 * the BFS-edge current sums, until [[integrate]] turns them
+                                 * into Σ_forests φ_j(u), the voltage sums [[phi]] reads.
                                  */
                                val phiSum: Array[Double]) extends Serializable {
   /** An empty accumulator of the given shape. */
@@ -99,8 +104,35 @@ final class ForestAcc private (val nsrc: Int, val n: Int, val wantDiag: Boolean,
   require(numT <= Short.MaxValue, s"|T| = $numT does not fit a Short root row")
   var count: Long = 0L
 
-  /** Σ_forests φ_j(u). */
-  def phi(j: Int, u: Int): Double = phiSum(u * nsrc + j)
+  /** Whether [[phiSum]] holds voltage sums: [[integrate]] has run. */
+  private var integrated = false
+
+  /** Σ_forests φ_j(u); readable once the sums are integrated. */
+  def phi(j: Int, u: Int): Double = {
+    if (!integrated) throw new IllegalStateException("φ sums are read before ForestAcc.integrate")
+    phiSum(u * nsrc + j)
+  }
+
+  /** Turn the current sums into voltage sums by integrating them down the
+    * BFS tree of `ctx`, the context they were folded on, parents first:
+    * `Σφ_j(u) = Σφ_j(b) + Σc_j(u)` with b u's BFS parent. A root's sums stay
+    * 0. O(n·nsrc), once per sampling phase, after the last [[merge]].
+    */
+  def integrate(ctx: ForestContext): ForestAcc = {
+    require(!integrated, "the φ sums are already integrated")
+    require(ctx.nsrc == nsrc && ctx.n == n, "a context of another shape")
+    val order = ctx.bfsOrder; val bfsParent = ctx.bfsParent
+    var k = ctx.numRoots
+    while (k < order.length) {
+      val u = order(k)
+      val uo = u * nsrc; val bo = bfsParent(u) * nsrc
+      var j = 0
+      while (j < nsrc) { phiSum(uo + j) += phiSum(bo + j); j += 1 }
+      k += 1
+    }
+    integrated = true
+    this
+  }
 
   /** Σ_forests D(u). */
   val diagSum: Array[Double] = if (wantDiag) new Array[Double](n) else Array.emptyDoubleArray
@@ -175,12 +207,14 @@ final class ForestAcc private (val nsrc: Int, val n: Int, val wantDiag: Boolean,
     }
   }
 
-  /** Add another accumulator's sums, entry by entry: its count, φ and
-    * diagonal sums, its dense root counts if it has any, and its root rows
-    * not yet counted into them. `o` is left as it was.
+  /** Add another accumulator's sums, entry by entry: its count, current (or,
+    * both integrated, voltage) and diagonal sums, its dense root counts if it
+    * has any, and its root rows not yet counted into them. `o` is left as it
+    * was.
     */
   def merge(o: ForestAcc): ForestAcc = {
     require(o.nsrc == nsrc && o.n == n && o.wantDiag == wantDiag && o.numT == numT, "accumulator of another shape")
+    require(o.integrated == integrated, "current sums merged with integrated voltage sums")
     count += o.count
     var i = 0
     while (i < phiSum.length) { phiSum(i) += o.phiSum(i); i += 1 }
@@ -206,20 +240,21 @@ object ForestAcc {
   private val CountBlock = 1024
 
   /** The wire form of a sampling task's accumulator: its shape, the count,
-    * the φ sums, the diagonal sums and its own root rows. Kryo writes
-    * primitive arrays at full width (Spark's unsafe Kryo output even when
-    * asked for varints), so [[write]] sends the integer-valued parts one
-    * varint at a time: each diagonal sum, an integer within a task, zigzag
-    * encoded, and each root-row entry as `t + 1`, one byte while |T| < 128.
-    * The φ sums go through Kryo's own `writeDoubles`/`readDoubles`: with
-    * Spark's default `spark.kryo.unsafe = true` those are one bulk memory
-    * copy each.
+    * the current sums (not yet integrated), the diagonal sums and its own
+    * root rows. Kryo writes primitive arrays at full width (Spark's unsafe
+    * Kryo output even when asked for varints), so [[write]] sends the
+    * integer-valued parts one varint at a time: each diagonal sum, an
+    * integer within a task, zigzag encoded, and each root-row entry as
+    * `t + 1`, one byte while |T| < 128. The current sums go through Kryo's
+    * own `writeDoubles`/`readDoubles`: with Spark's default
+    * `spark.kryo.unsafe = true` those are one bulk memory copy each.
     */
   final class Wire extends Serializer[ForestAcc] {
 
     override def write(kryo: Kryo, out: Output, a: ForestAcc): Unit = {
       require(!a.merged, "an accumulator ships the root rows it folded; a merged accumulator's root counts " +
         "cannot be shipped as rows")
+      require(!a.integrated, "an accumulator ships current sums; integrate after the merge")
       out.writeVarInt(a.nsrc, true)
       out.writeVarInt(a.n, true)
       out.writeBoolean(a.wantDiag)
@@ -265,8 +300,6 @@ final class ForestScratch(ctx: ForestContext) {
   val src: Array[Double] = ForestScratch.nodeMajor(ctx.sources, n)
   /** Subtree sums of the source rows. */
   val subW: Array[Double] = new Array[Double](ctx.nsrc * n)
-  /** Voltage estimates of the current forest. */
-  val phi: Array[Double] = new Array[Double](ctx.nsrc * n)
   /** Subtree sizes. */
   val size: Array[Int] = new Array[Int](n)
   /** Preorder labels: `subtree(a)` holds the nodes labelled
@@ -275,6 +308,15 @@ final class ForestScratch(ctx: ForestContext) {
   val tin: Array[Int] = new Array[Int](n)
   /** Next free label inside a node's interval, while labels are handed out. */
   val next: Array[Int] = new Array[Int](n)
+  /** The current forest's diagonal estimates D(u); 0 at the roots, which the
+    * fold never writes.
+    */
+  val diag: Array[Int] = new Array[Int](n)
+  /** The nearest node x on u's BFS path (u itself included) whose BFS edge
+    * to its BFS parent is also a forest edge, either way round; −1 if there
+    * is none. −1 at the roots, which the fold never writes.
+    */
+  val jump: Array[Int] = Array.fill(n)(-1)
 }
 
 /** The set-up loop of [[ForestScratch]]. It lives in a method: a loop in a
@@ -300,9 +342,12 @@ object ForestScratch {
 
 object ForestStats {
 
-  /** Fold one forest into `acc`. */
+  /** Fold one forest into `acc`: add each non-root node's BFS-edge current
+    * estimates to [[ForestAcc.phiSum]] (current sums, which the driver
+    * integrates into voltage sums once per phase), its diagonal estimate to
+    * [[ForestAcc.diagSum]] and, for the Schur variant, the forest's root row.
+    */
   def fold(ctx: ForestContext, f: Wilson.Forest, acc: ForestAcc, scr: ForestScratch): Unit = {
-    val n = ctx.n
     val nsrc = ctx.nsrc
     val isRoot = ctx.isRoot
     val bfsParent = ctx.bfsParent
@@ -311,8 +356,11 @@ object ForestStats {
     acc.count += 1
 
     // --- subtree sums of every source row, and subtree sizes (children
-    // precede parents in order)
-    val subW = scr.subW; val size = scr.size
+    // precede parents in order). When c is reached its sums are final, so
+    // the current of its forest edge c → p goes to the BFS edge it lies on:
+    // +subW(c) to c's if p is c's BFS parent, −subW(c) to p's if c is p's (a
+    // root p has BFS parent −1).
+    val subW = scr.subW; val size = scr.size; val cur = acc.phiSum
     System.arraycopy(scr.src, 0, subW, 0, subW.length)
     java.util.Arrays.fill(size, 1)
     var k = 0
@@ -320,8 +368,15 @@ object ForestStats {
       val c = order(k)
       val p = parent(c)
       size(p) += size(c)
+      val co = c * nsrc; val po = p * nsrc
+      if (bfsParent(c) == p) {
+        var j = 0
+        while (j < nsrc) { cur(co + j) += subW(co + j); j += 1 }
+      } else if (bfsParent(p) == c) {
+        var j = 0
+        while (j < nsrc) { cur(po + j) -= subW(co + j); j += 1 }
+      }
       if (!isRoot(p)) {
-        val co = c * nsrc; val po = p * nsrc
         var j = 0
         while (j < nsrc) { subW(po + j) += subW(co + j); j += 1 }
       }
@@ -358,54 +413,37 @@ object ForestStats {
       }
     }
 
-    // --- diagonal estimates: walk the BFS path of every non-root node
+    // --- diagonal estimates, BFS parents first. D(u) sums, over the BFS
+    // edges a → b on u's path, +1 if π(a) = b and u ∈ subtree(a), −1 if
+    // π(b) = a and u ∈ subtree(b). With b u's BFS parent: if π(u) = b, u's
+    // forest ancestors are u and b's, so D(u) = D(b) + 1; if π(b) = u, the
+    // edge u → b adds 0 and b's ancestors are b and u's, so D(u) = D(b).
+    // Otherwise only the forest edges on b's path can add a term: walk them
+    // by jump, testing u's ancestry by interval.
     if (ctx.wantDiag) {
-      val diagSum = acc.diagSum
-      var u = 0
-      while (u < n) {
-        if (!isRoot(u)) {
-          var d = 0
-          var a = u
-          var b = bfsParent(u)
+      val diagSum = acc.diagSum; val diag = scr.diag; val jump = scr.jump
+      val bfsOrder = ctx.bfsOrder
+      k = ctx.numRoots
+      while (k < bfsOrder.length) {
+        val u = bfsOrder(k)
+        val b = bfsParent(u)
+        if (parent(u) == b) { diag(u) = diag(b) + 1; jump(u) = u }
+        else if (parent(b) == u) { diag(u) = diag(b); jump(u) = u }
+        else {
           val tu = tin(u)
-          while (b != -1) { // up the BFS path until a is a root
-            // edge (a -> b): +1 if the forest path of u uses it forward,
-            // -1 if backward. Forward ⟺ π(a) = b and u ∈ subtree(a). A
-            // root b has π(b) = -1, so the backward test needs no root check.
-            if (parent(a) == b && tin(a) <= tu && tu < tin(a) + size(a)) d += 1
-            if (parent(b) == a && tin(b) <= tu && tu < tin(b) + size(b)) d -= 1
-            a = b
-            b = bfsParent(a)
+          var d = 0
+          var x = jump(b)
+          while (x != -1) { // x–y is a forest edge: π(x) = y, or else π(y) = x
+            val y = bfsParent(x)
+            if (parent(x) == y) { if (tin(x) <= tu && tu < tin(x) + size(x)) d += 1 }
+            else if (tin(y) <= tu && tu < tin(y) + size(y)) d -= 1
+            x = jump(y)
           }
-          diagSum(u) += d
+          diag(u) = d; jump(u) = jump(b)
         }
-        u += 1
+        diagSum(u) += diag(u)
+        k += 1
       }
-    }
-
-    // --- voltage estimates per source row: integrate currents down the BFS
-    // tree, adding each voltage to its sum as it is computed
-    val phi = scr.phi; val phiSum = acc.phiSum
-    k = 0
-    while (k < ctx.bfsOrder.length) {
-      val u = ctx.bfsOrder(k)
-      if (!isRoot(u)) {
-        val b = ctx.bfsParent(u)
-        val bRoot = isRoot(b)
-        val fwd = parent(u) == b
-        val back = !bRoot && parent(b) == u
-        val uo = u * nsrc; val bo = b * nsrc
-        var j = 0
-        while (j < nsrc) {
-          var t = if (bRoot) 0.0 else phi(bo + j)
-          if (fwd) t += subW(uo + j)
-          if (back) t -= subW(bo + j)
-          phi(uo + j) = t
-          phiSum(uo + j) += t
-          j += 1
-        }
-      }
-      k += 1
     }
   }
 }

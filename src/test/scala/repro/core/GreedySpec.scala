@@ -33,6 +33,16 @@ class GreedySpec extends SparkSpec {
     assert(seen.result() == Seq((Set(4), 1), (Set(4, 2), 2), (Set(4, 2, 5), 3)))
   }
 
+  test("run fails, naming the iteration and |S|, when every Δ outside S is −∞ or NaN") {
+    for ((name, bad) <- Seq("−∞" -> Double.NegativeInfinity, "NaN" -> Double.NaN)) {
+      // iteration 1 picks node 2; at iteration 2 every node outside S scores `bad`
+      val e = intercept[IllegalStateException] {
+        Greedy.run(4, first = 0)((s, _) => Array.tabulate(5)(u => if (s.size == 1 && u == 2) 1.0 else bad))
+      }
+      assert(e.getMessage.contains("iteration 2 of 4") && e.getMessage.contains("|S| = 2"), s"$name: ${e.getMessage}")
+    }
+  }
+
   test("delta is num / den, with den guarded at 1e-300") {
     assert(Greedy.delta(6.0, 3.0) == 2.0)
     assert(Greedy.delta(2.0, 0.0) == 2.0 / 1e-300)

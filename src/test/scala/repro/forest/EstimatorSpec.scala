@@ -19,7 +19,7 @@ class EstimatorSpec extends SparkSpec {
     val scr = new ForestScratch(ctx)
     val rng = new java.util.SplittableRandom(seed)
     for (_ <- 0 until forests) ForestStats.fold(ctx, Wilson.sample(ctx.g, ctx.isRoot, ctx.numRoots, rng), acc, scr)
-    acc
+    acc.integrate(ctx)
   }
 
   private def exactInv(g: CsrGraph, s: Set[Int]): (Array[Int], Array[Double]) =

@@ -6,7 +6,8 @@ import repro.core.SchurCfcm
 import repro.graph.{CsrGraph, GraphGen, GraphOps}
 import repro.linalg.Jl
 
-/** `ForestStats.fold` against a plain reference fold, bit for bit, and the
+/** `ForestStats.fold` against a plain reference fold, bit for bit; its
+  * integrated current sums against plain per-forest voltage sums; and the
   * Kryo form of `ForestAcc` a sampling task ships its sums in.
   */
 class ForestStatsSpec extends SparkSpec {
@@ -42,24 +43,35 @@ class ForestStatsSpec extends SparkSpec {
     acc
   }
 
-  /** One forest's sums the plain way: ancestors by walking π, source rows
-    * j-major, roots counted in `L_DFS` order.
+  /** Subtree sums of every source row over forest f, j-major. */
+  private def subtreeSums(ctx: ForestContext, f: Wilson.Forest): Array[Array[Double]] = {
+    val subW = ctx.sources.map(_.clone())
+    for (j <- 0 until ctx.nsrc; u <- f.order) {
+      val p = f.parent(u)
+      if (!ctx.isRoot(p)) subW(j)(p) += subW(j)(u)
+    }
+    subW
+  }
+
+  /** The current of source row j on the BFS edge from u to its BFS parent b. */
+  private def current(ctx: ForestContext, f: Wilson.Forest, subW: Array[Array[Double]], j: Int, u: Int): Double = {
+    val b = ctx.bfsParent(u)
+    if (f.parent(u) == b) subW(j)(u)
+    else if (!ctx.isRoot(b) && f.parent(b) == u) -subW(j)(b)
+    else 0.0
+  }
+
+  /** One forest's diagonal estimates by the plain BFS-path walk: every edge
+    * of u's path to its root, ancestors found by walking π.
     */
-  private def naiveFold(ctx: ForestContext, f: Wilson.Forest, acc: ForestAcc): Unit = {
-    val n = ctx.n
+  private def pathWalkDiag(ctx: ForestContext, f: Wilson.Forest): Array[Int] = {
     val parent = f.parent
-    acc.count += 1
     def inSubtree(u: Int, a: Int): Boolean = {
       var x = u
       while (x != -1 && x != a) x = parent(x)
       x == a
     }
-    val subW = ctx.sources.map(_.clone())
-    for (j <- 0 until ctx.nsrc; u <- f.order) {
-      val p = parent(u)
-      if (!ctx.isRoot(p)) subW(j)(p) += subW(j)(u)
-    }
-    if (ctx.wantDiag) for (u <- 0 until n if !ctx.isRoot(u)) {
+    Array.tabulate(ctx.n) { u =>
       var d = 0
       var a = u
       while (!ctx.isRoot(a)) {
@@ -68,25 +80,55 @@ class ForestStatsSpec extends SparkSpec {
         if (!ctx.isRoot(b) && parent(b) == a && inSubtree(u, b)) d -= 1
         a = b
       }
-      acc.diagSum(u) += d
+      d
     }
-    for (j <- 0 until ctx.nsrc) {
-      val phi = new Array[Double](n)
-      for (u <- ctx.bfsOrder if !ctx.isRoot(u)) {
-        val b = ctx.bfsParent(u)
-        var t = if (ctx.isRoot(b)) 0.0 else phi(b)
-        if (parent(u) == b) t += subW(j)(u)
-        if (!ctx.isRoot(b) && parent(b) == u) t -= subW(j)(b)
-        phi(u) = t
-        acc.phiSum(u * ctx.nsrc + j) += t
-      }
+  }
+
+  /** One forest's sums the plain way: currents node by node, the diagonal by
+    * [[pathWalkDiag]], roots counted in `L_DFS` order.
+    */
+  private def naiveFold(ctx: ForestContext, f: Wilson.Forest, acc: ForestAcc): Unit = {
+    acc.count += 1
+    val subW = subtreeSums(ctx, f)
+    if (ctx.wantDiag) {
+      val d = pathWalkDiag(ctx, f)
+      for (u <- 0 until ctx.n if !ctx.isRoot(u)) acc.diagSum(u) += d(u)
     }
+    for (j <- 0 until ctx.nsrc; u <- 0 until ctx.n if !ctx.isRoot(u))
+      acc.phiSum(u * ctx.nsrc + j) += current(ctx, f, subW, j, u)
     if (ctx.wantRoots) for (u <- f.order) {
       var r = u
-      while (!ctx.isRoot(r)) r = parent(r)
+      while (!ctx.isRoot(r)) r = f.parent(r)
       val ti = ctx.tIndex(r)
       if (ti >= 0) acc.rootCnt(u * ctx.numT + ti) += 1
     }
+  }
+
+  /** Σ_forests φ_j(u), flat node-major, the plain way: each forest's
+    * voltages integrated along the BFS tree, then added to the sums.
+    */
+  private def naiveVoltageSums(ctx: ForestContext, seed: Long, forests: Int): Array[Double] = {
+    val sums = new Array[Double](ctx.nsrc * ctx.n)
+    for (i <- 0 until forests) {
+      val f = forest(ctx, seed, i)
+      val subW = subtreeSums(ctx, f)
+      for (j <- 0 until ctx.nsrc) {
+        val phi = new Array[Double](ctx.n)
+        for (u <- ctx.bfsOrder if !ctx.isRoot(u)) {
+          val b = ctx.bfsParent(u)
+          phi(u) = (if (ctx.isRoot(b)) 0.0 else phi(b)) + current(ctx, f, subW, j, u)
+          sums(u * ctx.nsrc + j) += phi(u)
+        }
+      }
+    }
+    sums
+  }
+
+  /** Entrywise `|a − b| ≤ tol·max|b|`. */
+  private def assertClose(a: Array[Double], b: Array[Double], tol: Double, what: String): Unit = {
+    val scale = b.map(math.abs).max
+    val worst = a.indices.map(i => math.abs(a(i) - b(i))).max
+    assert(worst <= tol * scale, s"$what: max |Δ| = $worst, bound ${tol * scale}")
   }
 
   private def assertSame(a: ForestAcc, b: ForestAcc, what: String): Unit = {
@@ -110,24 +152,84 @@ class ForestStatsSpec extends SparkSpec {
     }
   }
 
-  test("the one-pass fold's φ sums equal a two-pass reference bit for bit, with and without T") {
-    val noT = ForestContext(grid, Set(0, 1023), Jl.materialize(17, 3, grid.n), wantDiag = true)
-    for ((name, ctx) <- Seq("numT = 3" -> gridCtx(wantDiag = true), "numT = 0" -> noT,
-                            "BA, numT = |selectT|" -> baCtx(wantDiag = false))) {
-      val acc = foldRange(ctx, 9, 0, 12)
-      // pass 1: the fold leaves one forest's voltages in the scratch; pass 2
-      // adds them to the sums node by node
-      val ref = newAcc(ctx)
-      val scr = new ForestScratch(ctx)
-      for (i <- 0L until 12L) {
-        ForestStats.fold(ctx, forest(ctx, 9, i), newAcc(ctx), scr)
-        for (u <- 0 until ctx.n if !ctx.isRoot(u); j <- 0 until ctx.nsrc)
-          ref.phiSum(u * ctx.nsrc + j) += scr.phi(u * ctx.nsrc + j)
-      }
-      assert(acc.phiSum.exists(_ != 0.0), name)
-      assert(java.util.Arrays.equals(acc.phiSum, ref.phiSum), s"$name: phiSum")
+  /** Contexts with dyadic sources, whose sums add exactly in any order: the
+    * all-ones row on the grid, and ±1/2 JL rows (w = 4) on BA.
+    */
+  private def dyadicCtxs: Seq[(String, ForestContext)] = Seq(
+    "grid, all-ones, numT = 0" ->
+      ForestContext(grid, Set(0, 1023), Array(Array.fill(grid.n)(1.0)), wantDiag = true),
+    "BA, w = 4, numT = |selectT|" -> baCtx(wantDiag = true))
+
+  test("integrated current sums equal per-forest voltage sums: bit for bit on dyadic sources, 1e-12 at w = 3") {
+    for ((name, ctx) <- dyadicCtxs) {
+      val acc = foldRange(ctx, 9, 0, 12).integrate(ctx)
+      val ref = naiveVoltageSums(ctx, 9, 12)
+      assert(ref.exists(_ != 0.0), name)
+      assert(java.util.Arrays.equals(acc.phiSum, ref), s"$name: φ sums")
       for (u <- 0 until ctx.n; j <- 0 until ctx.nsrc)
-        assert(acc.phi(j, u) == acc.phiSum(u * ctx.nsrc + j), s"$name: phi($j, $u)")
+        assert(acc.phi(j, u) == ref(u * ctx.nsrc + j), s"$name: phi($j, $u)")
+    }
+    // ±1/√3 entries: integrating the sums adds the same terms in another order
+    for ((name, ctx) <- Seq("grid, w = 3, numT = 3" -> gridCtx(wantDiag = true),
+                            "grid, w = 3, numT = 0" ->
+                              ForestContext(grid, Set(0, 1023), Jl.materialize(17, 3, grid.n), wantDiag = false))) {
+      val acc = foldRange(ctx, 9, 0, 12).integrate(ctx)
+      assertClose(acc.phiSum, naiveVoltageSums(ctx, 9, 12), 1e-12, name)
+    }
+  }
+
+  test("φ is read only after integrate, which runs once and only on current sums") {
+    val ctx = gridCtx(wantDiag = true)
+    val acc = foldRange(ctx, 9, 0, 2)
+    intercept[IllegalStateException](acc.phi(0, 5))
+    acc.integrate(ctx)
+    intercept[IllegalArgumentException](acc.integrate(ctx))
+    intercept[IllegalArgumentException](acc.merge(foldRange(ctx, 9, 2, 4)))
+    val kryo = new KryoSerializer(spark.sparkContext.getConf).newInstance()
+    intercept[IllegalArgumentException](kryo.serialize(foldRange(ctx, 9, 2, 4).integrate(ctx)))
+  }
+
+  test("the diagonal by BFS parent equals the plain path walk: a path graph, whose one forest gives D = (2, 1)") {
+    // u = 0, a = 1, root s = 2: the only forest is the path, and both BFS
+    // edges are forward forest edges
+    val path = CsrGraph.fromEdges(3, Seq((0, 1), (1, 2)))
+    val ctx = ForestContext(path, Set(2), Array(Array.fill(3)(1.0)), wantDiag = true)
+    val acc = foldRange(ctx, 1, 0, 5)
+    assert(acc.diagSum.toSeq == Seq(10.0, 5.0, 0.0))
+    assert(pathWalkDiag(ctx, forest(ctx, 1, 0)).toSeq == Seq(2, 1, 0))
+  }
+
+  test("the diagonal by BFS parent equals the plain path walk: forward, reversed and non-forest BFS edges") {
+    // BFS from root 0: 1 ← 0, 2 ← 1, 3 ← 1, 4 ← 2. Forest π = (−, 0, 4, 1, 3):
+    // 1 → 0 and 3 → 1 are forward BFS edges, 2 → 4 reverses 4's BFS edge,
+    // and 2's BFS edge is not a forest edge, so D(2) walks up to 1 → 0
+    val g = CsrGraph.fromEdges(5, Seq((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)))
+    val ctx = ForestContext(g, Set(0), Array(Array.fill(5)(1.0)), wantDiag = true)
+    assert(ctx.bfsParent.toSeq == Seq(-1, 0, 1, 1, 2))
+    val f = Wilson.Forest(Array(-1, 0, 4, 1, 3), Array(2, 4, 3, 1))
+    val acc = newAcc(ctx)
+    val scr = new ForestScratch(ctx)
+    ForestStats.fold(ctx, f, acc, scr)
+    assert(pathWalkDiag(ctx, f).toSeq == Seq(0, 1, 1, 2, 1))
+    assert(acc.diagSum.toSeq == Seq(0.0, 1.0, 1.0, 2.0, 1.0))
+    // the same forest again through the same scratch: no state carries over
+    ForestStats.fold(ctx, f, acc, scr)
+    assert(acc.diagSum.toSeq == Seq(0.0, 2.0, 2.0, 4.0, 2.0))
+  }
+
+  test("sums do not depend on the partition: one slice or four, merged and integrated") {
+    val forests = 24
+    def sliced(ctx: ForestContext, parts: Int): ForestAcc =
+      (0 until parts).map(i => foldRange(ctx, 21, i * forests / parts, (i + 1) * forests / parts))
+        .foldLeft(newAcc(ctx))(_ merge _).integrate(ctx)
+    for ((name, ctx) <- dyadicCtxs :+ ("grid, w = 3, numT = 3" -> gridCtx(wantDiag = true))) {
+      val one = sliced(ctx, 1)
+      val four = sliced(ctx, 4)
+      assert(one.count == forests && four.count == forests, name)
+      assert(java.util.Arrays.equals(one.diagSum, four.diagSum), s"$name: diagSum")
+      assert(java.util.Arrays.equals(one.rootCnt, four.rootCnt), s"$name: rootCnt")
+      if (ctx.nsrc == 3) assertClose(four.phiSum, one.phiSum, 1e-12, name)
+      else assert(java.util.Arrays.equals(one.phiSum, four.phiSum), s"$name: φ sums")
     }
   }
 
@@ -177,7 +279,7 @@ class ForestStatsSpec extends SparkSpec {
       for (x <- local.diagSum.indices) local.diagSum(x) += a.diagSum(x)
       for (x <- local.rootCnt.indices) local.rootCnt(x) += a.rootCnt(x)
     }
-    assertSame(viaSpark, local, "ForestSampler.run vs local folds")
+    assertSame(viaSpark, local.integrate(ctx), "ForestSampler.run vs local folds")
   }
 
   test("a 16-forest Schur partial on the schur-ba17k graph is under 1 MiB") {
